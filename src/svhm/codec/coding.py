@@ -83,7 +83,7 @@ def _inter_scales(pred_coeffs: np.ndarray, alpha_block: np.ndarray, delta: float
     """
     if extra_coeffs is None:
         act = alpha_block * (0.3 + 16.0 * alpha_block) / delta
-        return palette_scale(act[:, :, None, None] * np.ones_like(pred_coeffs))
+        return np.broadcast_to(palette_scale(act)[:, :, None, None], pred_coeffs.shape)
     gap = np.abs(extra_coeffs - pred_coeffs) / delta
     return palette_scale(0.2 + 0.7 * gap)
 

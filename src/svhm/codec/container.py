@@ -19,12 +19,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .transform import QUALITY_STEPS
+
 _MAGIC = b"SVHM"
 _VERSION = 1
 
 
 class ContainerError(ValueError):
     pass
+
+
+def check_header_fields(quality: int, gop: int, block: int, search: int) -> None:
+    """Range check for the coding parameters a container header carries.
+
+    Shared by the encoder's configuration and the parser, so a stream either
+    decodes under the parameters it declares or is refused before frame 0.
+    """
+    if not 0 <= quality < len(QUALITY_STEPS):
+        raise ContainerError(
+            f"quality index {quality} outside 0..{len(QUALITY_STEPS) - 1}")
+    if not 1 <= gop <= 255:
+        raise ContainerError("gop must be in 1..255")
+    if block not in (8, 16, 32):
+        raise ContainerError("block must be 8, 16, or 32")
+    if not 1 <= search <= 127:
+        raise ContainerError("search must be in 1..127")
 
 
 @dataclass
@@ -80,8 +99,9 @@ class ScalableBitstream:
         height = int.from_bytes(raw[7:9], "little")
         count = int.from_bytes(raw[9:13], "little")
         gop, quality, block, search, fwq = raw[13:18]
-        if width == 0 or height == 0 or gop == 0 or block == 0:
+        if width == 0 or height == 0:
             raise ContainerError("degenerate container header")
+        check_header_fields(quality, gop, block, search)
         stream = cls(width, height, gop, quality, block, search, fwq)
         pos = 18
         for t in range(count):

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coding, transform as tf
-from .container import ContainerError, FrameRecord, ScalableBitstream
+from .container import (ContainerError, FrameRecord, ScalableBitstream,
+                        check_header_fields)
 from .frames import Frame
 from .modes import combine_predictor, derive_mode_maps
 from .motion import FlowField, compensate, estimate_motion, predict_motion
@@ -33,13 +34,7 @@ class CodecConfig:
     enhancement: bool = True
 
     def __post_init__(self):
-        tf.quality_step(self.quality)
-        if not 1 <= self.gop <= 255:
-            raise ValueError("gop must be in 1..255")
-        if self.block not in (8, 16, 32):
-            raise ValueError("block must be 8, 16, or 32")
-        if not 1 <= self.search <= 127:
-            raise ValueError("search must be in 1..127")
+        check_header_fields(self.quality, self.gop, self.block, self.search)
         if not 0.0 <= self.fusion_weight <= 1.0:
             raise ValueError("fusion_weight must be in [0, 1]")
 

@@ -6,6 +6,18 @@ CDF (precision 2^20, ceiling-biased so quantized probabilities never fall
 below the model probability), making streams byte-identical across runs and
 platforms.  A 16-bit checksum symbol is coded after the payload so truncated
 or corrupted streams are rejected instead of silently misdecoding.
+
+Integer CDF rows are cached.  The key is the exact float pair (mu, scale)
+after the scale floor, plus the support half-width, so a row is reused only
+where a fresh build would give the same integers.  The codec draws its
+parameters from a small fixed set (mu is 0 or the intra DC level, scales come
+from a quarter-octave palette), so a whole RD sweep needs a few dozen rows
+while every plane would otherwise rebuild its own.  Generic float parameters
+take the same path; each distinct pair is built once per miss, in one
+vectorized batch per call.  The cache holds at most ``_CACHE_MAX_BYTES`` of
+``int64`` rows and is emptied when a batch would overflow it: arbitrary float
+traffic has no small working set, and a cache sized by it would grow with
+the process.  A batch larger than the bound is used but not kept.
 """
 
 from __future__ import annotations
@@ -15,7 +27,6 @@ from bisect import bisect_right
 import numpy as np
 
 from .entropy_model import (
-    PROB_FLOOR,
     SCALE_FLOOR,
     SUPPORT_HALF_WIDTH,
     Bitstream,
@@ -28,6 +39,7 @@ _MASK64 = (1 << 64) - 1
 _RENORM = 1 << 56
 _CDF_PRECISION = 1 << 20
 _CHECK_TOTAL = 1 << 16
+_CACHE_MAX_BYTES = 4 << 20
 
 
 class SupportError(ValueError):
@@ -112,40 +124,82 @@ class RangeDecoder:
             self.range <<= 8
 
 
-def _cdf_tables(params: LaplaceParamField, half_width: int):
-    """Integer CDFs for every unique (mu, scale) pair in the field.
+def _build_rows(mus: np.ndarray, scales: np.ndarray, half_width: int):
+    """Integer CDF rows for parallel 1-D arrays of (mu, scale).
 
-    Returns (pair_index_per_position, bases, cum_rows, totals) where cum_rows
-    is a list of python lists (length 2*half_width + 2, leading 0).
+    Returns (bases, cums): ``bases[i]`` is the lowest symbol of row i and
+    ``cums[i]`` its cumulative counts, length 2*half_width + 2 with a leading
+    0, so ``cums[i, -1]`` is the row's total.
+    """
+    width = 2 * half_width + 1
+    n = mus.size
+    bases = (np.sign(mus) * np.floor(np.abs(mus) + 0.5)).astype(np.int64) - half_width
+    cums = np.zeros((n, width + 1), dtype=np.int64)
+    chunk = max(1, (1 << 22) // width)
+    offsets = np.arange(width, dtype=np.float64)
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        ks = bases[lo:hi, None].astype(np.float64) + offsets[None, :]
+        probs = box_probability(ks, mus[lo:hi, None], scales[lo:hi, None])
+        counts = np.ceil(probs * _CDF_PRECISION).astype(np.int64)
+        np.cumsum(counts, axis=1, out=cums[lo:hi, 1:])
+    return bases, cums
+
+
+class _CdfRowCache:
+    """Integer CDF rows keyed by (mu, scale, half_width), bounded in bytes."""
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._rows: dict[tuple[float, float, int], tuple[int, np.ndarray]] = {}
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def lookup(self, mus: np.ndarray, scales: np.ndarray, half_width: int):
+        """(bases, cums) as :func:`_build_rows` gives them, for distinct pairs."""
+        keys = [(m, s, half_width) for m, s in zip(mus.tolist(), scales.tolist())]
+        found = [self._rows.get(k) for k in keys]
+        miss = [i for i, hit in enumerate(found) if hit is None]
+        if miss:
+            m_bases, m_cums = _build_rows(mus[miss], scales[miss], half_width)
+            built = list(zip(m_bases.tolist(), m_cums))
+            for i, hit in zip(miss, built):
+                found[i] = hit
+            self._store([keys[i] for i in miss], built, m_cums.nbytes)
+        bases = np.array([hit[0] for hit in found], dtype=np.int64)
+        return bases, np.stack([hit[1] for hit in found])
+
+    def _store(self, keys, rows, nbytes: int) -> None:
+        # The rows are views of one batch array, which lives exactly as long
+        # as its rows do, because the cache only ever drops all rows at once.
+        if nbytes > self.max_bytes:
+            return
+        if self.nbytes + nbytes > self.max_bytes:
+            self._rows.clear()
+            self.nbytes = 0
+        self._rows.update(zip(keys, rows))
+        self.nbytes += nbytes
+
+
+_ROW_CACHE = _CdfRowCache(_CACHE_MAX_BYTES)
+
+
+def _cdf_tables(params: LaplaceParamField, half_width: int):
+    """Integer CDFs for every distinct (mu, scale) pair in the field.
+
+    Returns (row_index_per_position, bases, cums) with ``bases`` and ``cums``
+    as from :func:`_build_rows`, one row per distinct pair.
     """
     mus = params.mu.ravel()
     scales = np.maximum(params.scale.ravel(), SCALE_FLOOR)
-    pairs = np.stack([mus, scales], axis=1)
-    uniq, inv = np.unique(pairs, axis=0, return_inverse=True)
-    inv = inv.ravel()
-
-    width = 2 * half_width + 1
-    n_uniq = uniq.shape[0]
-    bases = np.empty(n_uniq, dtype=np.int64)
-    cum_rows = []
-    totals = []
-    chunk = max(1, (1 << 22) // max(width, 1))
-    offsets = np.arange(width, dtype=np.float64)
-    for lo in range(0, n_uniq, chunk):
-        hi = min(lo + chunk, n_uniq)
-        mu_c = uniq[lo:hi, 0][:, None]
-        b_c = uniq[lo:hi, 1][:, None]
-        base_c = (np.sign(mu_c) * np.floor(np.abs(mu_c) + 0.5)).astype(np.int64) - half_width
-        ks = base_c.astype(np.float64) + offsets[None, :]
-        probs = box_probability(ks, mu_c, b_c)
-        counts = np.ceil(probs * _CDF_PRECISION).astype(np.int64)
-        cums = np.zeros((hi - lo, width + 1), dtype=np.int64)
-        np.cumsum(counts, axis=1, out=cums[:, 1:])
-        bases[lo:hi] = base_c[:, 0]
-        for row in cums.tolist():
-            cum_rows.append(row)
-            totals.append(row[-1])
-    return inv, bases.tolist(), cum_rows, totals
+    mu_vals, mu_idx = np.unique(mus, return_inverse=True)
+    sc_vals, sc_idx = np.unique(scales, return_inverse=True)
+    pair, inv = np.unique(mu_idx * sc_vals.size + sc_idx, return_inverse=True)
+    bases, cums = _ROW_CACHE.lookup(
+        mu_vals[pair // sc_vals.size], sc_vals[pair % sc_vals.size], half_width)
+    return inv.ravel(), bases, cums
 
 
 def _check_value(symbols: np.ndarray) -> int:
@@ -167,23 +221,33 @@ def range_encode(
             f"symbol plane {symbols.shape} vs parameter field {params.mu.shape}"
         )
     flat = symbols.ravel()
-    if flat.size and np.any(np.abs(flat - params.mu.ravel()) > half_width):
-        bad = int(np.argmax(np.abs(flat - params.mu.ravel()) > half_width))
+    outside = np.abs(flat - params.mu.ravel()) > half_width
+    if outside.any():
+        bad = int(np.argmax(outside))
         raise SupportError(
             f"symbol {int(flat[bad])} at flat index {bad} outside mu +/- {half_width}"
         )
 
     enc = RangeEncoder()
     if flat.size:
-        inv, bases, cum_rows, totals = _cdf_tables(params, half_width)
-        syms = flat.tolist()
-        inv_l = inv.tolist()
-        encode = enc.encode
-        for i, s in enumerate(syms):
-            u = inv_l[i]
-            row = cum_rows[u]
-            j = s - bases[u]
-            encode(row[j], row[j + 1] - row[j], totals[u])
+        inv, bases, cums = _cdf_tables(params, half_width)
+        j = flat - bases[inv]
+        cum_low = cums[inv, j]
+        freq = cums[inv, j + 1] - cum_low
+        total = cums[inv, -1]
+        low, rng, out, carry = enc.low, enc.range, enc.out, enc._carry
+        for c, f, t in zip(cum_low.tolist(), freq.tolist(), total.tolist()):
+            r = rng // t
+            low += c * r
+            if low > _MASK64:
+                carry()
+                low &= _MASK64
+            rng = r * f
+            while rng < _RENORM:
+                out.append(low >> 56)
+                low = (low << 8) & _MASK64
+                rng <<= 8
+        enc.low, enc.range = low, rng
     chk = _check_value(flat)
     enc.encode(chk, 1, _CHECK_TOTAL)
     payload = enc.finish()
@@ -206,18 +270,38 @@ def range_decode(
 
     n = int(np.prod(shape)) if shape else 0
     dec = RangeDecoder(bs.data[: (bs.bit_length + 7) // 8])
-    out = [0] * n
+    symbols = np.zeros(n, dtype=np.int64)
     if n:
-        inv, bases, cum_rows, totals = _cdf_tables(params, half_width)
-        inv_l = inv.tolist()
-        for i in range(n):
-            u = inv_l[i]
-            row = cum_rows[u]
-            t = dec.decode_target(totals[u])
-            j = bisect_right(row, t) - 1
-            dec.consume(row[j], row[j + 1] - row[j])
-            out[i] = bases[u] + j
-    symbols = np.array(out, dtype=np.int64).reshape(shape)
+        inv, bases, cums = _cdf_tables(params, half_width)
+        # Per row: its total, the bounds of its most probable symbol round(mu)
+        # (index half_width), which most positions hold, and the whole row
+        # for the rest.
+        tabs = list(zip(cums[:, -1].tolist(), cums[:, half_width].tolist(),
+                        cums[:, half_width + 1].tolist(), cums.tolist()))
+        js = [half_width] * n
+        data, pos, code, rng = dec.data, dec.pos, dec.code, dec.range
+        size = len(data)
+        for i, u in enumerate(inv.tolist()):
+            total, c, hi, row = tabs[u]
+            r = rng // total
+            t = code // r
+            if c <= t < hi:
+                rng = r * (hi - c)
+            else:
+                if t >= total:
+                    raise CorruptStreamError("decoded target outside the coded total")
+                j = bisect_right(row, t) - 1
+                c = row[j]
+                rng = r * (row[j + 1] - c)
+                js[i] = j
+            code -= c * r
+            while rng < _RENORM:
+                code = ((code << 8) | (data[pos] if pos < size else 0)) & _MASK64
+                pos += 1
+                rng <<= 8
+        dec.pos, dec.code, dec.range = pos, code, rng
+        symbols = bases[inv] + np.array(js, dtype=np.int64)
+    symbols = symbols.reshape(shape)
     t = dec.decode_target(_CHECK_TOTAL)
     dec.consume(t, 1)
     if t != _check_value(symbols.ravel()):

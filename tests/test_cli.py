@@ -90,6 +90,22 @@ class TestEncodeDecode:
         assert len(frames) == 4
         assert "partial decode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("offset, value, field", [
+        (14, 9, "quality"), (15, 7, "block"), (16, 0, "search"),
+    ])
+    def test_out_of_range_header_refused(self, encoded_bin, tmp_path, capsys,
+                                         offset, value, field):
+        raw = bytearray(open(encoded_bin, "rb").read())
+        raw[offset] = value
+        bad = tmp_path / "bad.svhm"
+        bad.write_bytes(bytes(raw))
+        out = str(tmp_path / "out.y4m")
+        assert main(["decode", "--in", str(bad), "--out", out]) == EXIT_USAGE
+        assert not os.path.exists(out)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert "Traceback" not in err and "partial decode" not in err
+
     def test_usage_error_exit_code(self):
         assert main(["encode"]) == EXIT_USAGE
         assert main(["no-such-command"]) == EXIT_USAGE

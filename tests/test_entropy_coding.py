@@ -20,6 +20,8 @@ from svhm.entropy_model import (
     laplace_cdf,
     quantize,
 )
+from svhm import range_coder
+from svhm.codec.transform import QUALITY_STEPS
 from svhm.range_coder import CorruptStreamError, SupportError, range_decode, range_encode
 
 
@@ -263,3 +265,70 @@ class TestRangeCoder:
         bs = range_encode(symbols, field)
         assert np.array_equal(range_decode(bs, field), symbols)
         assert bs.bit_length <= estimate_rate(symbols, field) * 1.01 + 64.0
+
+
+# ---------------------------------------------------------------------------
+# Integer CDF row cache
+# ---------------------------------------------------------------------------
+
+def fresh_row(mu, scale, half_width):
+    """One integer CDF row built on its own from the probability model."""
+    base = int(np.sign(mu) * np.floor(abs(mu) + 0.5)) - half_width
+    ks = np.arange(base, base + 2 * half_width + 1, dtype=np.float64)
+    counts = np.ceil(box_probability(ks, mu, max(scale, SCALE_FLOOR)) * (1 << 20))
+    return base, np.concatenate([[0], np.cumsum(counts.astype(np.int64))])
+
+
+def table_rows(params, half_width):
+    inv, bases, cums = range_coder._cdf_tables(params, half_width)
+    return [(int(bases[u]), cums[u]) for u in inv]
+
+
+class TestCdfRowCache:
+    def test_cached_rows_match_fresh_build(self, monkeypatch):
+        dc_levels = [1024.0 / d for d in QUALITY_STEPS]
+        mus = [-0.0, 0.0, *dc_levels, -0.0, 2.5, -3.5]
+        scales = [SCALE_FLOOR - 1e-13, 1.0, SCALE_FLOOR, 0.7, 12.0, 300.0,
+                  SCALE_FLOOR, 2.0, SCALE_FLOOR - 1e-13]
+        params = LaplaceParamField(np.array(mus), np.array(scales))
+        filled = table_rows(params, 1024)
+
+        def no_build(*args):
+            raise AssertionError("row rebuilt instead of read from the cache")
+
+        monkeypatch.setattr(range_coder, "_build_rows", no_build)
+        cached = table_rows(params, 1024)
+        for mu, scale, first, again in zip(mus, scales, filled, cached):
+            base, row = fresh_row(mu, scale, 1024)
+            assert first[0] == again[0] == base
+            assert np.array_equal(first[1], row) and np.array_equal(again[1], row)
+
+    def test_half_width_is_part_of_the_key(self):
+        params = LaplaceParamField(np.array([3.0]), np.array([1.5]))
+        (b64, r64), = table_rows(params, 64)
+        (b1024, r1024), = table_rows(params, 1024)
+        assert (b64, r64.size) == (3 - 64, 130)
+        assert (b1024, r1024.size) == (3 - 1024, 2050)
+        for (base, row), hw in (((b64, r64), 64), ((b1024, r1024), 1024)):
+            fresh_base, fresh = fresh_row(3.0, 1.5, hw)
+            assert base == fresh_base and np.array_equal(row, fresh)
+        symbols = np.array([3])
+        for hw in (64, 1024):
+            bs = range_encode(symbols, params, half_width=hw)
+            assert np.array_equal(range_decode(bs, params, half_width=hw), symbols)
+
+    def test_bounded_under_random_float_traffic(self):
+        cache = range_coder._ROW_CACHE
+        rng = np.random.default_rng(99)
+        for _ in range(300):
+            symbols, field = random_case(rng, (64,))
+            bs = range_encode(symbols, field)
+            assert np.array_equal(range_decode(bs, field), symbols)
+            assert cache.nbytes <= cache.max_bytes
+        assert cache.nbytes == sum(row.nbytes for _, row in cache._rows.values())
+        # one batch larger than the bound is used but not kept
+        n = cache.max_bytes // (130 * 8) + 1
+        field = LaplaceParamField(rng.uniform(-20, 20, n), rng.uniform(0.04, 10.0, n))
+        before = len(cache)
+        range_decode(range_encode(np.round(field.mu).astype(np.int64), field), field)
+        assert len(cache) <= before and cache.nbytes <= cache.max_bytes
