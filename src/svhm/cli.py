@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pathlib
 import sys
 import tempfile
 
@@ -32,17 +33,26 @@ class CommandError(Exception):
         self.code = code
 
 
-def _atomic_write_bytes(path: str, data: bytes) -> None:
+def _atomic_write(path: str, write) -> None:
+    """Run ``write(tmp)`` on a temp file beside ``path``, then rename it into
+    place; on any failure the temp file is removed and ``path`` is untouched."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
+    os.close(fd)
+    umask = os.umask(0)
+    os.umask(umask)
     try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
+        os.chmod(tmp, 0o666 & ~umask)   # mkstemp's 0600 -> the mode open() gives
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write_bytes(path: str, data: bytes) -> None:
+    _atomic_write(path, lambda tmp: pathlib.Path(tmp).write_bytes(data))
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -74,7 +84,10 @@ def cmd_encode(args) -> int:
                              enhancement=(args.layers == "base+enh"))
     except ValueError as exc:
         raise CommandError(str(exc)) from exc
-    stream, report = encode_sequence(frames, config)
+    try:
+        stream, report = encode_sequence(frames, config)
+    except ContainerError as exc:
+        raise CommandError(str(exc)) from exc
     _atomic_write_bytes(args.output, stream.serialize())
     if args.report:
         _atomic_write_text(args.report, report.to_json())
@@ -95,8 +108,10 @@ def cmd_decode(args) -> int:
     frames, report = decode_sequence(stream, args.layers)
     if not frames:
         raise CommandError(f"no decodable frames: {report.error}")
-    write_y4m(args.output + ".part", frames)
-    os.replace(args.output + ".part", args.output)
+    try:
+        _atomic_write(args.output, lambda tmp: write_y4m(tmp, frames))
+    except Y4MError as exc:
+        raise CommandError(str(exc)) from exc
     if args.report:
         _atomic_write_text(args.report, report.to_json())
     if report.error is not None:

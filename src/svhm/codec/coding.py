@@ -71,20 +71,22 @@ def _intra_params(delta: float, nby: int, nbx: int):
     return mu, scale
 
 
-def _inter_scales(pred_coeffs: np.ndarray, alpha_block: np.ndarray, delta: float,
-                  extra_coeffs: np.ndarray | None = None) -> np.ndarray:
+def _inter_scales(pred: np.ndarray, alpha_block: np.ndarray, delta: float,
+                  extra: np.ndarray | None = None) -> np.ndarray:
     """Expected residual-symbol scale per coefficient, decoder-reproducible.
 
     Base layer: per-block activity from the alpha map (itself derived from the
     predictor/previous-frame discrepancy, so high alpha means high expected
     residual energy).  Enhancement layer: the coefficient-domain gap between
-    the base frame and the fused context predicts where refinement symbols
-    land, enriched Laplace parameters from base side information.
+    the base frame ``extra`` and the fused context ``pred`` predicts where
+    refinement symbols land, enriched Laplace parameters from base side
+    information.  Only the enhancement layer transforms the pixel planes.
     """
-    if extra_coeffs is None:
+    if extra is None:
         act = alpha_block * (0.3 + 16.0 * alpha_block) / delta
-        return np.broadcast_to(palette_scale(act)[:, :, None, None], pred_coeffs.shape)
-    gap = np.abs(extra_coeffs - pred_coeffs) / delta
+        return np.broadcast_to(palette_scale(act)[:, :, None, None],
+                               alpha_block.shape + (tf.BLOCK, tf.BLOCK))
+    gap = np.abs(tf.forward(tf.blockify(extra)) - tf.forward(tf.blockify(pred))) / delta
     return palette_scale(0.2 + 0.7 * gap)
 
 
@@ -182,9 +184,8 @@ def code_inter_frame(x: Frame, xtilde: Frame, alpha: np.ndarray, q: int,
     for i, (plane, pred_plane) in enumerate(zip(x.planes(), xtilde.planes())):
         target = alpha * plane
         pred = alpha * pred_plane
-        pc = tf.forward(tf.blockify(pred))
-        ec = tf.forward(tf.blockify(extra.planes()[i])) if extra is not None else None
-        scale = _inter_scales(pc, abar, delta, ec)
+        scale = _inter_scales(pred, abar, delta,
+                              extra.planes()[i] if extra is not None else None)
         mu = np.zeros_like(scale)
         payload, xcheck = _encode_coeff_plane(target, pred, delta, mu, scale, keep)
         payloads.append(payload)
@@ -202,9 +203,8 @@ def decode_inter_frame(payload: bytes, xtilde: Frame, alpha: np.ndarray, q: int,
     recons = []
     for i, (sub, pred_plane) in enumerate(zip(_unpack(payload, 3), xtilde.planes())):
         pred = alpha * pred_plane
-        pc = tf.forward(tf.blockify(pred))
-        ec = tf.forward(tf.blockify(extra.planes()[i])) if extra is not None else None
-        scale = _inter_scales(pc, abar, delta, ec)
+        scale = _inter_scales(pred, abar, delta,
+                              extra.planes()[i] if extra is not None else None)
         mu = np.zeros_like(scale)
         xcheck = _decode_coeff_plane(sub, pred, delta, mu, scale, keep)
         recons.append(np.clip(xcheck + (1.0 - alpha) * pred_plane, 0.0, 255.0))

@@ -13,6 +13,10 @@ Layout (all integers little-endian):
 
 Enhancement sub-streams may be empty (zero length); dropping them never
 touches base-layer decodability.
+
+A header may declare at most ``MAX_PIXELS`` (4096 x 2160, which covers UHD
+3840 x 2160) pixels per frame.  The decoder allocates frame buffers from the
+declared size, so the parser refuses a larger frame before any allocation.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .transform import QUALITY_STEPS
 
 _MAGIC = b"SVHM"
 _VERSION = 1
+MAX_PIXELS = 4096 * 2160
 
 
 class ContainerError(ValueError):
@@ -44,6 +49,16 @@ def check_header_fields(quality: int, gop: int, block: int, search: int) -> None
         raise ContainerError("block must be 8, 16, or 32")
     if not 1 <= search <= 127:
         raise ContainerError("search must be in 1..127")
+
+
+def check_frame_size(width: int, height: int) -> None:
+    """Frame geometry a container header may carry: u16 sides, at most
+    MAX_PIXELS pixels.  Shared by the encoder and the parser."""
+    if not (1 <= width <= 0xFFFF and 1 <= height <= 0xFFFF):
+        raise ContainerError(f"{width}x{height} frames: each side must be in 1..65535")
+    if width * height > MAX_PIXELS:
+        raise ContainerError(
+            f"{width}x{height} frames exceed the {MAX_PIXELS}-pixel cap")
 
 
 @dataclass
@@ -99,8 +114,7 @@ class ScalableBitstream:
         height = int.from_bytes(raw[7:9], "little")
         count = int.from_bytes(raw[9:13], "little")
         gop, quality, block, search, fwq = raw[13:18]
-        if width == 0 or height == 0:
-            raise ContainerError("degenerate container header")
+        check_frame_size(width, height)
         check_header_fields(quality, gop, block, search)
         stream = cls(width, height, gop, quality, block, search, fwq)
         pos = 18

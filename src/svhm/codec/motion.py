@@ -37,21 +37,9 @@ class FlowField:
         return np.sqrt(self.dx.astype(np.float64) ** 2 + self.dy.astype(np.float64) ** 2)
 
 
-def _block_sums(err: np.ndarray, block: int) -> np.ndarray:
-    h, w = err.shape
-    ph = (-h) % block
-    pw = (-w) % block
-    if ph or pw:
-        err = np.pad(err, ((0, ph), (0, pw)), mode="constant")
-    H, W = err.shape
-    return err.reshape(H // block, block, W // block, block).sum(axis=(1, 3))
-
-
-def _shift_clamped(plane: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    h, w = plane.shape
-    iy = np.clip(np.arange(h) + dy, 0, h - 1)
-    ix = np.clip(np.arange(w) + dx, 0, w - 1)
-    return plane[iy][:, ix]
+# SADs held at once: the candidate stack is cut into chunks of at most this
+# many float64 (4 MiB), whatever the frame size and search range.
+_STACK_ELEMENTS = 1 << 19
 
 
 def estimate_motion(cur: Frame, ref: Frame, block: int = 16, search: int = 8) -> FlowField:
@@ -59,28 +47,47 @@ def estimate_motion(cur: Frame, ref: Frame, block: int = 16, search: int = 8) ->
 
     Ties go to the smallest |dx| + |dy|, then to the earliest candidate in
     raster order (dy outer, dx inner, each from -search to +search).
+    Reference pixels outside the frame repeat the nearest edge pixel.
+
+    Tests rely on this contract: the SAD of each candidate is the per-block
+    sum of |cur - ref| exactly as ``err.reshape(nby, block, nbx,
+    block).sum(axis=(1, 3))`` computes it on the error plane zero-padded to
+    whole blocks, so the float sums, and hence the ties, are bit-exact.
     """
     if (cur.height, cur.width) != (ref.height, ref.width):
         raise ValueError("frames differ in size")
+    h, w = cur.height, cur.width
+    nby = -(-h // block)
+    nbx = -(-w // block)
     cl = cur.luma()
-    rl = ref.luma()
-    nby = -(-cur.height // block)
-    nbx = -(-cur.width // block)
+    padded_ref = np.pad(ref.luma(), search, mode="edge")
+    err = np.zeros((nby * block, nbx * block))   # the padding stays zero
+    err_view = err[:h, :w]
+    err_blocks = err.reshape(nby, block, nbx, block)
 
+    # Candidates in tie-break order, so argmin's first minimum is the winner.
+    span = range(-search, search + 1)
+    cands = sorted(((dy, dx) for dy in span for dx in span),
+                   key=lambda c: abs(c[0]) + abs(c[1]))
+    chunk = max(1, _STACK_ELEMENTS // (nby * nbx))
+    stack = np.empty((min(chunk, len(cands)), nby, nbx))
     best_sad = np.full((nby, nbx), np.inf)
-    best_cost = np.full((nby, nbx), np.inf)
-    best_dx = np.zeros((nby, nbx), dtype=np.int64)
-    best_dy = np.zeros((nby, nbx), dtype=np.int64)
-    for dy in range(-search, search + 1):
-        for dx in range(-search, search + 1):
-            sad = _block_sums(np.abs(cl - _shift_clamped(rl, dy, dx)), block)
-            cost2 = abs(dx) + abs(dy)
-            better = (sad < best_sad) | ((sad == best_sad) & (cost2 < best_cost))
-            best_sad = np.where(better, sad, best_sad)
-            best_cost = np.where(better, cost2, best_cost)
-            best_dx = np.where(better, dx, best_dx)
-            best_dy = np.where(better, dy, best_dy)
-    return FlowField(best_dx, best_dy, block, search)
+    best = np.zeros((nby, nbx), dtype=np.int64)
+    for start in range(0, len(cands), chunk):
+        part = cands[start : start + chunk]
+        for k, (dy, dx) in enumerate(part):
+            y0 = search + dy
+            x0 = search + dx
+            np.subtract(cl, padded_ref[y0 : y0 + h, x0 : x0 + w], out=err_view)
+            np.abs(err_view, out=err_view)
+            err_blocks.sum(axis=(1, 3), out=stack[k])
+        k = np.argmin(stack[: len(part)], axis=0)
+        sad = np.take_along_axis(stack, k[None], axis=0)[0]
+        better = sad < best_sad          # earlier chunks win ties
+        best_sad[better] = sad[better]
+        best[better] = start + k[better]
+    winners = np.array(cands, dtype=np.int64)[best]
+    return FlowField(winners[..., 1], winners[..., 0], block, search)
 
 
 def compensate(ref: Frame, flow: FlowField) -> Frame:

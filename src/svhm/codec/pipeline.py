@@ -18,7 +18,7 @@ import numpy as np
 
 from . import coding, transform as tf
 from .container import (ContainerError, FrameRecord, ScalableBitstream,
-                        check_header_fields)
+                        check_frame_size, check_header_fields)
 from .frames import Frame
 from .modes import combine_predictor, derive_mode_maps
 from .motion import FlowField, compensate, estimate_motion, predict_motion
@@ -95,6 +95,7 @@ def encode_sequence(frames: list[Frame], config: CodecConfig) -> tuple[ScalableB
     h, w = frames[0].height, frames[0].width
     if any((f.height, f.width) != (h, w) for f in frames):
         raise ValueError("all frames must share one geometry")
+    check_frame_size(w, h)
     t0 = time.perf_counter()
     stream = ScalableBitstream(w, h, config.gop, config.quality,
                                config.block, config.search,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from svhm.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
-from svhm.codec import ScalableBitstream
+from svhm.codec import CodecConfig, ScalableBitstream, encode_sequence
 from svhm.codec.synthetic import translating_square
 from svhm.codec.y4m import read_y4m, write_y4m
 from svhm.evalkit import RDCurveTable, write_rd_csv
@@ -60,6 +60,14 @@ class TestEncodeDecode:
         assert main(["decode", "--in", encoded_bin, "--out", out,
                      "--layers", "base"]) == EXIT_OK
 
+    def test_outputs_get_default_file_mode(self, encoded_bin, tmp_path):
+        umask = os.umask(0)
+        os.umask(umask)
+        out = str(tmp_path / "rt.y4m")
+        assert main(["decode", "--in", encoded_bin, "--out", out]) == EXIT_OK
+        for path in (encoded_bin, out):
+            assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
+
     def test_missing_input_no_partial_output(self, tmp_path):
         out = str(tmp_path / "never.svhm")
         assert main(["encode", "--in", str(tmp_path / "nope.y4m"),
@@ -105,6 +113,18 @@ class TestEncodeDecode:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
         assert "Traceback" not in err and "partial decode" not in err
+
+    def test_odd_sized_stream_refused_without_partial_output(self, tmp_path, capsys):
+        # A valid 33x33 stream decodes, but 4:2:0 Y4M cannot hold it.
+        stream, _ = encode_sequence(translating_square(2, 33),
+                                    CodecConfig(quality=1, gop=2))
+        src = tmp_path / "odd.svhm"
+        src.write_bytes(stream.serialize())
+        out = tmp_path / "x.y4m"
+        assert main(["decode", "--in", str(src), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "even dimensions" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["odd.svhm"]
 
     def test_usage_error_exit_code(self):
         assert main(["encode"]) == EXIT_USAGE

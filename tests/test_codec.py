@@ -1,6 +1,8 @@
 """Tests for the scalable codec: transform, motion, modes, coding, container,
 and the end-to-end encode/decode pipelines."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from svhm.codec import (
     decode_sequence,
     encode_sequence,
 )
-from svhm.codec import coding, transform as tf
+from svhm.codec import coding, container, motion, transform as tf
 from svhm.codec.container import FrameRecord
 from svhm.codec.frames import rgb_to_ycbcr, ycbcr_to_rgb
 from svhm.codec.modes import (
@@ -105,7 +107,78 @@ class TestFrames:
 # Motion
 # ---------------------------------------------------------------------------
 
+def reference_estimate_motion(cur, ref, block, search):
+    """The original per-candidate full search, kept as the oracle for
+    ``estimate_motion``: clamped shifts, zero-padded block sums and a running
+    best with the documented tie rule."""
+    def block_sums(err):
+        h, w = err.shape
+        err = np.pad(err, ((0, (-h) % block), (0, (-w) % block)), mode="constant")
+        H, W = err.shape
+        return err.reshape(H // block, block, W // block, block).sum(axis=(1, 3))
+
+    def shift_clamped(plane, dy, dx):
+        h, w = plane.shape
+        iy = np.clip(np.arange(h) + dy, 0, h - 1)
+        ix = np.clip(np.arange(w) + dx, 0, w - 1)
+        return plane[iy][:, ix]
+
+    cl, rl = cur.luma(), ref.luma()
+    shape = (-(-cur.height // block), -(-cur.width // block))
+    best_sad = np.full(shape, np.inf)
+    best_cost = np.full(shape, np.inf)
+    best_dx = np.zeros(shape, dtype=np.int64)
+    best_dy = np.zeros(shape, dtype=np.int64)
+    for dy in range(-search, search + 1):
+        for dx in range(-search, search + 1):
+            sad = block_sums(np.abs(cl - shift_clamped(rl, dy, dx)))
+            cost = abs(dx) + abs(dy)
+            better = (sad < best_sad) | ((sad == best_sad) & (cost < best_cost))
+            best_sad = np.where(better, sad, best_sad)
+            best_cost = np.where(better, cost, best_cost)
+            best_dx = np.where(better, dx, best_dx)
+            best_dy = np.where(better, dy, best_dy)
+    return best_dx, best_dy
+
+
 class TestMotion:
+    @settings(max_examples=60, deadline=None)
+    @given(h=st.integers(1, 70), w=st.integers(1, 70),
+           block=st.sampled_from([8, 16, 32]), search=st.integers(1, 12),
+           kind=st.sampled_from(["uniform", "flat", "small_int"]),
+           seed=st.integers(0, 2**32 - 1),
+           chunk=st.one_of(st.none(), st.integers(1, 40)))
+    def test_matches_reference_search(self, h, w, block, search, kind, seed, chunk):
+        # Flat and small-integer planes make many exact SAD ties, so the tie
+        # rule decides most blocks; ``chunk`` forces the candidate stack to
+        # be cut into chunks of that many candidates.
+        rng = np.random.default_rng(seed)
+
+        def plane():
+            if kind == "uniform":
+                return rng.uniform(0, 255, (h, w))
+            if kind == "flat":
+                return np.full((h, w), float(rng.integers(0, 256)))
+            return rng.integers(0, 3, (h, w)).astype(np.float64)
+
+        cur = Frame(plane(), plane(), plane())
+        ref = Frame(plane(), plane(), plane())
+        nblocks = -(-h // block) * -(-w // block)
+        stack = motion._STACK_ELEMENTS if chunk is None else chunk * nblocks
+        with patch.object(motion, "_STACK_ELEMENTS", stack):
+            flow = estimate_motion(cur, ref, block, search)
+        dx, dy = reference_estimate_motion(cur, ref, block, search)
+        assert np.array_equal(flow.dx, dx) and np.array_equal(flow.dy, dy)
+
+    @pytest.mark.parametrize("clip", [
+        translating_square(3, 64, seed=3), textured_scene(3, 48, 56, seed=1),
+    ], ids=["square", "textured"])
+    def test_matches_reference_on_clips(self, clip):
+        for cur, ref in zip(clip[1:], clip):
+            flow = estimate_motion(cur, ref, 16, 8)
+            dx, dy = reference_estimate_motion(cur, ref, 16, 8)
+            assert np.array_equal(flow.dx, dx) and np.array_equal(flow.dy, dy)
+
     def test_pure_translation_recovered(self):
         rng = np.random.default_rng(5)
         big = rng.uniform(0, 255, (80, 80))
@@ -324,6 +397,25 @@ class TestContainer:
         raw = self.make_stream().serialize()
         with pytest.raises(ContainerError, match="trailing"):
             ScalableBitstream.deserialize(raw + b"\x00")
+
+    @pytest.mark.parametrize("width, height", [
+        (65535, 65535), (4097, 2160), (65535, 136),
+    ])
+    def test_pixel_cap_refused(self, width, height):
+        # Parsing only: a refused header must never reach an allocation.
+        raw = ScalableBitstream(width, height, 32, 2, 16, 8, 128).serialize()
+        with pytest.raises(ContainerError, match="pixel cap"):
+            ScalableBitstream.deserialize(raw)
+
+    @pytest.mark.parametrize("width, height", [(3840, 2160), (4096, 2160)])
+    def test_uhd_header_accepted(self, width, height):
+        raw = ScalableBitstream(width, height, 32, 2, 16, 8, 128).serialize()
+        assert ScalableBitstream.deserialize(raw).width == width
+
+    def test_encoder_shares_the_size_check(self, monkeypatch):
+        monkeypatch.setattr(container, "MAX_PIXELS", 32 * 32 - 1)
+        with pytest.raises(ContainerError, match="pixel cap"):
+            encode_sequence(translating_square(1, 32), CodecConfig())
 
     def test_strip_enhancement(self):
         s = self.make_stream()
