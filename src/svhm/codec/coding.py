@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..entropy_model import LaplaceParamField, quantize
+from ..entropy_model import Bitstream, LaplaceParamField, quantize
 from ..range_coder import range_decode, range_encode
 from .frames import Frame
 from .modes import ALPHA_FLOOR
@@ -57,22 +57,25 @@ def _unpack(raw: bytes, n: int) -> list[bytes]:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient-plane coding
+# Plane models and reconstruction
 # ---------------------------------------------------------------------------
 
-def _intra_params(delta: float, nby: int, nbx: int):
-    u = np.arange(tf.BLOCK)[:, None]
-    v = np.arange(tf.BLOCK)[None, :]
+def _intra_models(q: int, height: int, width: int):
+    """Plane models of an intra frame: zero predictor, fixed per-band Laplace
+    scales, every block coded.  One model serves all three planes."""
+    delta = tf.quality_step(q)
+    nb = (-(-height // tf.BLOCK), -(-width // tf.BLOCK))
+    u, v = np.ogrid[:tf.BLOCK, :tf.BLOCK]
     mu = np.zeros((tf.BLOCK, tf.BLOCK))
     mu[0, 0] = _INTRA_DC_LEVEL * tf.BLOCK / delta
     scale = palette_scale(400.0 / (delta * (1.0 + u + v) ** 1.5))
-    mu = np.broadcast_to(mu, (nby, nbx, tf.BLOCK, tf.BLOCK))
-    scale = np.broadcast_to(scale, (nby, nbx, tf.BLOCK, tf.BLOCK))
-    return mu, scale
+    kept = (nb[0] * nb[1],) + mu.shape
+    params = LaplaceParamField(np.broadcast_to(mu, kept), np.broadcast_to(scale, kept))
+    return [(np.zeros((height, width)), 0.0, delta, params, np.ones(nb, dtype=bool))] * 3
 
 
 def _inter_scales(pred: np.ndarray, alpha_block: np.ndarray, delta: float,
-                  extra: np.ndarray | None = None) -> np.ndarray:
+                  extra: np.ndarray | None) -> np.ndarray:
     """Expected residual-symbol scale per coefficient, decoder-reproducible.
 
     Base layer: per-block activity from the alpha map (itself derived from the
@@ -90,71 +93,51 @@ def _inter_scales(pred: np.ndarray, alpha_block: np.ndarray, delta: float,
     return palette_scale(0.2 + 0.7 * gap)
 
 
-def _encode_coeff_plane(target: np.ndarray, predictor: np.ndarray, delta: float,
-                        mu: np.ndarray, scale: np.ndarray,
-                        keep_mask: np.ndarray | None = None):
-    """Returns (payload bytes, reconstructed plane)."""
-    h, w = target.shape
-    diff = tf.forward(tf.blockify(target) - tf.blockify(predictor))
-    symbols = quantize(diff / delta, max_symbol=CODEC_SUPPORT)
-    if keep_mask is None:
-        keep_mask = np.ones(symbols.shape[:2], dtype=bool)
-    sel_syms = symbols[keep_mask]
-    params = LaplaceParamField(mu[keep_mask], scale[keep_mask])
-    payload = range_encode(sel_syms, params, half_width=CODEC_SUPPORT).to_bytes()
-
-    recon_coeffs = np.zeros_like(diff)
-    recon_coeffs[keep_mask] = sel_syms.astype(np.float64) * delta
-    recon = predictor + tf.unblockify(tf.inverse(recon_coeffs), h, w)
-    return payload, recon
-
-
-def _decode_coeff_plane(payload: bytes, predictor: np.ndarray, delta: float,
-                        mu: np.ndarray, scale: np.ndarray,
-                        keep_mask: np.ndarray | None = None) -> np.ndarray:
-    from ..entropy_model import Bitstream
-
+def _reconstruct(symbols: np.ndarray, predictor: np.ndarray, offset,
+                 delta: float, keep: np.ndarray) -> np.ndarray:
+    """Predictor plus the dequantized residual of the kept blocks plus the
+    offset, clipped to the pixel range."""
     h, w = predictor.shape
-    nby, nbx = mu.shape[:2]
-    if keep_mask is None:
-        keep_mask = np.ones((nby, nbx), dtype=bool)
-    params = LaplaceParamField(mu[keep_mask], scale[keep_mask])
-    sel_syms = range_decode(Bitstream.from_bytes(payload), params,
-                            half_width=CODEC_SUPPORT)
-    recon_coeffs = np.zeros((nby, nbx, tf.BLOCK, tf.BLOCK))
-    recon_coeffs[keep_mask] = sel_syms.astype(np.float64) * delta
-    return predictor + tf.unblockify(tf.inverse(recon_coeffs), h, w)
+    coeffs = np.zeros(keep.shape + (tf.BLOCK, tf.BLOCK))
+    coeffs[keep] = symbols.astype(np.float64) * delta
+    recon = predictor + tf.unblockify(tf.inverse(coeffs), h, w)
+    return np.clip(recon + offset, 0.0, 255.0)
 
 
 # ---------------------------------------------------------------------------
 # Frame coding
 # ---------------------------------------------------------------------------
+#
+# A frame is three planes, each coded against a plane model: (predictor,
+# offset, delta, Laplace field of the kept blocks, keep mask).  The decoder
+# derives the same models, and both sides rebuild a plane with _reconstruct.
+
+def _code_planes(targets, models, index: int):
+    payloads = []
+    recons = []
+    for target, (pred, offset, delta, params, keep) in zip(targets, models):
+        diff = tf.forward(tf.blockify(target) - tf.blockify(pred))
+        symbols = quantize(diff / delta, max_symbol=CODEC_SUPPORT)[keep]
+        payloads.append(range_encode(symbols, params, half_width=CODEC_SUPPORT).to_bytes())
+        recons.append(_reconstruct(symbols, pred, offset, delta, keep))
+    return _pack(payloads), Frame(*recons, index=index)
+
+
+def _decode_planes(payload: bytes, models, index: int) -> Frame:
+    recons = []
+    for sub, (pred, offset, delta, params, keep) in zip(_unpack(payload, 3), models):
+        symbols = range_decode(Bitstream.from_bytes(sub), params, half_width=CODEC_SUPPORT)
+        recons.append(_reconstruct(symbols, pred, offset, delta, keep))
+    return Frame(*recons, index=index)
+
 
 def code_intra_frame(x: Frame, q: int):
     """Intra: zero predictor, alpha = 1, fixed per-band Laplace scales."""
-    delta = tf.quality_step(q)
-    payloads = []
-    recons = []
-    for plane in x.planes():
-        nby = -(-x.height // tf.BLOCK)
-        nbx = -(-x.width // tf.BLOCK)
-        mu, scale = _intra_params(delta, nby, nbx)
-        payload, recon = _encode_coeff_plane(plane, np.zeros_like(plane), delta, mu, scale)
-        payloads.append(payload)
-        recons.append(np.clip(recon, 0.0, 255.0))
-    return _pack(payloads), Frame(*recons, index=x.index)
+    return _code_planes(x.planes(), _intra_models(q, x.height, x.width), x.index)
 
 
 def decode_intra_frame(payload: bytes, q: int, height: int, width: int, index: int) -> Frame:
-    delta = tf.quality_step(q)
-    nby = -(-height // tf.BLOCK)
-    nbx = -(-width // tf.BLOCK)
-    mu, scale = _intra_params(delta, nby, nbx)
-    recons = []
-    for sub in _unpack(payload, 3):
-        plane = _decode_coeff_plane(sub, np.zeros((height, width)), delta, mu, scale)
-        recons.append(np.clip(plane, 0.0, 255.0))
-    return Frame(*recons, index=index)
+    return _decode_planes(payload, _intra_models(q, height, width), index)
 
 
 def _alpha_blocks(alpha: np.ndarray):
@@ -164,10 +147,24 @@ def _alpha_blocks(alpha: np.ndarray):
     return means, skip
 
 
+def _inter_models(xtilde: Frame, alpha: np.ndarray, delta: float,
+                  extra: Frame | None):
+    """Plane models of an inter frame: predictor alpha * xtilde, offset
+    (1 - alpha) * xtilde, zero-mean Laplace scales from ``_inter_scales``.
+    The enhancement layer codes with alpha = 1, so it never skips a block."""
+    abar, skip = _alpha_blocks(alpha)
+    keep = ~skip
+    for i, pred_plane in enumerate(xtilde.planes()):
+        pred = alpha * pred_plane
+        scale = _inter_scales(pred, abar, delta,
+                              extra.planes()[i] if extra is not None else None)[keep]
+        params = LaplaceParamField(np.zeros_like(scale), scale)
+        yield pred, (1.0 - alpha) * pred_plane, delta, params, keep
+
+
 def code_inter_frame(x: Frame, xtilde: Frame, alpha: np.ndarray, q: int,
                      delta: float | None = None,
-                     extra: Frame | None = None,
-                     allow_skip: bool = True):
+                     extra: Frame | None = None):
     """Conditional inter coding of alpha*x against alpha*xtilde.
 
     Reconstruction identity: xhat = xcheck + (1 - alpha) * xtilde, where
@@ -177,38 +174,15 @@ def code_inter_frame(x: Frame, xtilde: Frame, alpha: np.ndarray, q: int,
     if alpha.shape != (x.height, x.width):
         raise ValueError("alpha map shape mismatch")
     delta = tf.quality_step(q) if delta is None else delta
-    abar, skip = _alpha_blocks(alpha)
-    keep = ~skip if allow_skip else np.ones_like(skip)
-    payloads = []
-    recons = []
-    for i, (plane, pred_plane) in enumerate(zip(x.planes(), xtilde.planes())):
-        target = alpha * plane
-        pred = alpha * pred_plane
-        scale = _inter_scales(pred, abar, delta,
-                              extra.planes()[i] if extra is not None else None)
-        mu = np.zeros_like(scale)
-        payload, xcheck = _encode_coeff_plane(target, pred, delta, mu, scale, keep)
-        payloads.append(payload)
-        recons.append(np.clip(xcheck + (1.0 - alpha) * pred_plane, 0.0, 255.0))
-    return _pack(payloads), Frame(*recons, index=x.index)
+    return _code_planes([alpha * plane for plane in x.planes()],
+                        _inter_models(xtilde, alpha, delta, extra), x.index)
 
 
 def decode_inter_frame(payload: bytes, xtilde: Frame, alpha: np.ndarray, q: int,
                        delta: float | None = None,
-                       extra: Frame | None = None,
-                       allow_skip: bool = True, index: int = 0) -> Frame:
+                       extra: Frame | None = None, index: int = 0) -> Frame:
     delta = tf.quality_step(q) if delta is None else delta
-    abar, skip = _alpha_blocks(alpha)
-    keep = ~skip if allow_skip else np.ones_like(skip)
-    recons = []
-    for i, (sub, pred_plane) in enumerate(zip(_unpack(payload, 3), xtilde.planes())):
-        pred = alpha * pred_plane
-        scale = _inter_scales(pred, abar, delta,
-                              extra.planes()[i] if extra is not None else None)
-        mu = np.zeros_like(scale)
-        xcheck = _decode_coeff_plane(sub, pred, delta, mu, scale, keep)
-        recons.append(np.clip(xcheck + (1.0 - alpha) * pred_plane, 0.0, 255.0))
-    return Frame(*recons, index=index)
+    return _decode_planes(payload, _inter_models(xtilde, alpha, delta, extra), index)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +201,6 @@ def code_flow(flow: FlowField, vbar: FlowField) -> bytes:
 
 
 def decode_flow(payload: bytes, vbar: FlowField, block: int, search: int) -> FlowField:
-    from ..entropy_model import Bitstream
-
     shape = (2,) + vbar.dx.shape
     params = LaplaceParamField(np.zeros(shape), _flow_scales(vbar))
     resid = range_decode(Bitstream.from_bytes(payload), params, half_width=FLOW_SUPPORT)

@@ -4,8 +4,10 @@ Base layer: closed-loop hybrid coder (intra refresh every GOP, motion-
 compensated inter frames with decoder-derived alpha/beta mode maps).
 Enhancement layer: coded conditionally on a fused context of the decoded
 base frame and the warped previous enhancement frame, at half the base
-quantization step.  The decoder mirrors every encoder-side decision from
-decoded data only, so the two stay in lockstep.
+quantization step.  Both sides run one closed loop, :func:`_closed_loop`,
+which derives every prediction from decoded data only.  The decoder's
+callables read each sub-stream back; the encoder's add the analysis (motion
+search, quantization) and write it: the encoder is the decoder plus analysis.
 """
 
 from __future__ import annotations
@@ -80,13 +82,63 @@ class RateReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _fuse_context(base: Frame, warped_enh: Frame | None, w: float) -> Frame:
+def _fuse_context(base: Frame, warped_enh: Frame, w: float) -> Frame:
     """Enhancement-layer conditioning context."""
-    if warped_enh is None:
-        return base
     planes = [w * b + (1.0 - w) * e
               for b, e in zip(base.planes(), warped_enh.planes())]
     return Frame(*planes, index=base.index)
+
+
+def _closed_loop(stream: ScalableBitstream, intra, flow, residual, has_enh):
+    """Yield the output frame of each record in ``stream.frames``.
+
+    The callables code or decode one sub-stream each, named by its
+    ``FrameRecord`` field: ``intra(t, rec)`` and ``residual(t, rec, field,
+    predictor, alpha, delta, extra)`` return the reconstruction, ``flow(t,
+    rec, field, reference, vbar)`` the flow field.  ``has_enh(rec)`` says
+    whether the frame has an enhancement layer.
+    """
+    h, w = stream.height, stream.width
+    block, search = stream.block, stream.search
+    delta_e = tf.quality_step(stream.quality) / 2.0
+    prev_base: Frame | None = None
+    prev_enh: Frame | None = None
+    flow_buffer: list[FlowField] = []
+    ones = np.ones((h, w))
+    for t, rec in enumerate(stream.frames):
+        if t % stream.gop == 0:
+            base_hat = intra(t, rec)
+            flow_buffer = []
+            prev_enh = None   # random access: enhancement context refreshes too
+        else:
+            vbar = predict_motion(flow_buffer, h, w, block, search)
+            v = flow(t, rec, "base_motion", prev_base, vbar)
+            flow_buffer.append(v)
+            xbar = compensate(prev_base, v)
+            maps = derive_mode_maps(prev_base, xbar, v)
+            xtilde = combine_predictor(xbar, prev_base, maps)
+            base_hat = residual(t, rec, "base_signal", xtilde, maps.alpha, None, None)
+        out = base_hat
+        if has_enh(rec):
+            ctx = base_hat
+            if prev_enh is not None:
+                eflow = flow(t, rec, "enh_motion", prev_enh,
+                             FlowField.zero(h, w, block, search))
+                ctx = _fuse_context(base_hat, compensate(prev_enh, eflow),
+                                    stream.fusion_weight)
+            out = prev_enh = residual(t, rec, "enh_context", ctx, ones, delta_e, base_hat)
+        prev_base = base_hat
+        yield out
+
+
+def _frame_bits(t: int, rec: FrameRecord, enh: bool) -> dict:
+    return {
+        "frame": t,
+        "base_motion": 8 * len(rec.base_motion),
+        "base_signal": 8 * len(rec.base_signal),
+        "enh_motion": 8 * len(rec.enh_motion) if enh else 0,
+        "enh_context": 8 * len(rec.enh_context) if enh else 0,
+    }
 
 
 def encode_sequence(frames: list[Frame], config: CodecConfig) -> tuple[ScalableBitstream, RateReport]:
@@ -99,56 +151,28 @@ def encode_sequence(frames: list[Frame], config: CodecConfig) -> tuple[ScalableB
     t0 = time.perf_counter()
     stream = ScalableBitstream(w, h, config.gop, config.quality,
                                config.block, config.search,
-                               config.fusion_weight_q)
+                               config.fusion_weight_q,
+                               [FrameRecord() for _ in frames])
     report = RateReport(w, h, len(frames))
-    fw = config.fusion_weight_q / 255.0
-    delta_e = tf.quality_step(config.quality) / 2.0
 
-    prev_base: Frame | None = None
-    prev_enh: Frame | None = None
-    flow_buffer: list[FlowField] = []
-    ones = np.ones((h, w))
+    def intra(t, rec):
+        rec.base_signal, hat = coding.code_intra_frame(frames[t], config.quality)
+        return hat
 
-    for t, x in enumerate(frames):
-        rec = FrameRecord()
-        if t % config.gop == 0:
-            rec.base_signal, base_hat = coding.code_intra_frame(x, config.quality)
-            flow_buffer = []
-            prev_enh = None   # random access: enhancement context refreshes too
-        else:
-            flow = estimate_motion(x, prev_base, config.block, config.search)
-            vbar = predict_motion(flow_buffer, h, w, config.block, config.search)
-            rec.base_motion = coding.code_flow(flow, vbar)
-            flow_buffer.append(flow)
-            xbar = compensate(prev_base, flow)
-            maps = derive_mode_maps(prev_base, xbar, flow)
-            xtilde = combine_predictor(xbar, prev_base, maps)
-            rec.base_signal, base_hat = coding.code_inter_frame(
-                x, xtilde, maps.alpha, config.quality)
+    def flow(t, rec, field, ref, vbar):
+        v = estimate_motion(frames[t], ref, config.block, config.search)
+        setattr(rec, field, coding.code_flow(v, vbar))
+        return v
 
-        if config.enhancement:
-            if prev_enh is None:
-                ctx = _fuse_context(base_hat, None, fw)
-            else:
-                eflow = estimate_motion(x, prev_enh, config.block, config.search)
-                rec.enh_motion = coding.code_flow(
-                    eflow, FlowField.zero(h, w, config.block, config.search))
-                ctx = _fuse_context(base_hat, compensate(prev_enh, eflow), fw)
-            rec.enh_context, enh_hat = coding.code_inter_frame(
-                x, ctx, ones, config.quality, delta=delta_e,
-                extra=base_hat, allow_skip=False)
-            prev_enh = enh_hat
+    def residual(t, rec, field, pred, alpha, delta, extra):
+        payload, hat = coding.code_inter_frame(frames[t], pred, alpha, config.quality,
+                                               delta=delta, extra=extra)
+        setattr(rec, field, payload)
+        return hat
 
-        prev_base = base_hat
-        stream.frames.append(rec)
-        report.frame_bits.append({
-            "frame": t,
-            "base_motion": 8 * len(rec.base_motion),
-            "base_signal": 8 * len(rec.base_signal),
-            "enh_motion": 8 * len(rec.enh_motion),
-            "enh_context": 8 * len(rec.enh_context),
-        })
-
+    for t, _ in enumerate(_closed_loop(stream, intra, flow, residual,
+                                       lambda rec: config.enhancement)):
+        report.frame_bits.append(_frame_bits(t, stream.frames[t], True))
     report.wall_seconds = time.perf_counter() - t0
     return stream, report
 
@@ -162,64 +186,28 @@ def decode_sequence(stream: ScalableBitstream, layers: str = "base+enh") -> tupl
     if layers not in ("base", "base+enh"):
         raise ValueError(f"unknown layer selection {layers!r}")
     t0 = time.perf_counter()
-    h, w = stream.height, stream.width
-    report = RateReport(w, h, len(stream.frames))
-    fw = stream.fusion_weight
-    delta_e = tf.quality_step(stream.quality) / 2.0
+    report = RateReport(stream.width, stream.height, len(stream.frames))
     want_enh = layers == "base+enh"
 
+    def intra(t, rec):
+        return coding.decode_intra_frame(rec.base_signal, stream.quality,
+                                         stream.height, stream.width, t)
+
+    def flow(t, rec, field, ref, vbar):
+        return coding.decode_flow(getattr(rec, field), vbar, stream.block, stream.search)
+
+    def residual(t, rec, field, pred, alpha, delta, extra):
+        return coding.decode_inter_frame(getattr(rec, field), pred, alpha, stream.quality,
+                                         delta=delta, extra=extra, index=t)
+
     out: list[Frame] = []
-    prev_base: Frame | None = None
-    prev_enh: Frame | None = None
-    flow_buffer: list[FlowField] = []
-    ones = np.ones((h, w))
-
-    for t, rec in enumerate(stream.frames):
-        try:
-            if t % stream.gop == 0:
-                base_hat = coding.decode_intra_frame(
-                    rec.base_signal, stream.quality, h, w, t)
-                flow_buffer = []
-                prev_enh = None   # mirror the encoder's context refresh
-            else:
-                vbar = predict_motion(flow_buffer, h, w, stream.block, stream.search)
-                flow = coding.decode_flow(rec.base_motion, vbar,
-                                          stream.block, stream.search)
-                flow_buffer.append(flow)
-                xbar = compensate(prev_base, flow)
-                maps = derive_mode_maps(prev_base, xbar, flow)
-                xtilde = combine_predictor(xbar, prev_base, maps)
-                base_hat = coding.decode_inter_frame(
-                    rec.base_signal, xtilde, maps.alpha, stream.quality, index=t)
-
-            if want_enh and rec.enh_context:
-                if prev_enh is None:
-                    ctx = _fuse_context(base_hat, None, fw)
-                else:
-                    eflow = coding.decode_flow(
-                        rec.enh_motion,
-                        FlowField.zero(h, w, stream.block, stream.search),
-                        stream.block, stream.search)
-                    ctx = _fuse_context(base_hat, compensate(prev_enh, eflow), fw)
-                enh_hat = coding.decode_inter_frame(
-                    rec.enh_context, ctx, ones, stream.quality,
-                    delta=delta_e, extra=base_hat, allow_skip=False, index=t)
-                prev_enh = enh_hat
-                out.append(enh_hat)
-            else:
-                out.append(base_hat)
-            prev_base = base_hat
-        except (ValueError, ContainerError) as exc:
-            report.error = f"frame {t}: {exc}"
-            break
-        report.frame_bits.append({
-            "frame": t,
-            "base_motion": 8 * len(rec.base_motion),
-            "base_signal": 8 * len(rec.base_signal),
-            "enh_motion": 8 * len(rec.enh_motion) if want_enh else 0,
-            "enh_context": 8 * len(rec.enh_context) if want_enh else 0,
-        })
-
+    try:
+        for t, frame in enumerate(_closed_loop(stream, intra, flow, residual,
+                                               lambda rec: want_enh and rec.enh_context)):
+            report.frame_bits.append(_frame_bits(t, stream.frames[t], want_enh))
+            out.append(frame)
+    except (ValueError, ContainerError) as exc:
+        report.error = f"frame {len(out)}: {exc}"
     report.frame_count = len(out)
     report.wall_seconds = time.perf_counter() - t0
     return out, report

@@ -8,7 +8,11 @@ from .frames import Frame
 
 
 def translating_square(frames: int = 30, size: int = 64, seed: int = 0) -> list[Frame]:
-    """A bright square moving at 2 px/frame over a flat gray background."""
+    """A bright square moving at 2 px/frame over a flat gray background.
+
+    The 16-pixel square wraps around a frame larger than itself."""
+    if size <= 16:
+        raise ValueError(f"size must exceed the 16-pixel square, got {size}")
     rng = np.random.default_rng(seed)
     bg = 64.0 + rng.normal(0.0, 1.0, (size, size))
     sq = 16

@@ -4,8 +4,10 @@
 into the output buffer.  Symbol frequencies come from a deterministic integer
 CDF (precision 2^20, ceiling-biased so quantized probabilities never fall
 below the model probability), making streams byte-identical across runs and
-platforms.  A 16-bit checksum symbol is coded after the payload so truncated
-or corrupted streams are rejected instead of silently misdecoding.
+platforms.  Each direction is one loop over a plane's symbols; the last is a
+16-bit checksum (frequency 1 of a uniform total), so truncated or corrupted
+streams are rejected instead of silently misdecoding.  The decoder stops at
+the first read past the bytes a valid stream could need.
 
 Integer CDF rows are cached.  The key is the exact float pair (mu, scale)
 after the scale floor, plus the support half-width, so a row is reused only
@@ -50,78 +52,28 @@ class CorruptStreamError(ValueError):
     """The stream is truncated, damaged, or was coded with other parameters."""
 
 
-class RangeEncoder:
-    def __init__(self):
-        self.low = 0
-        self.range = _MASK64
-        self.out = bytearray()
-
-    def encode(self, cum_low: int, freq: int, total: int) -> None:
-        r = self.range // total
-        self.low += cum_low * r
-        if self.low > _MASK64:
-            self._carry()
-            self.low &= _MASK64
-        self.range = r * freq
-        while self.range < _RENORM:
-            self.out.append((self.low >> 56) & 0xFF)
-            self.low = (self.low << 8) & _MASK64
-            self.range <<= 8
-
-    def _carry(self) -> None:
-        i = len(self.out) - 1
-        while i >= 0 and self.out[i] == 0xFF:
-            self.out[i] = 0
-            i -= 1
-        if i >= 0:
-            self.out[i] += 1
-
-    def finish(self) -> bytes:
-        # Emit the fewest top bytes of some value in [low, low + range);
-        # the decoder zero-pads, so trailing zero bytes are free.
-        for k in range(9):
-            shift = 64 - 8 * k
-            if shift == 0:
-                v = self.low
-            else:
-                step = 1 << shift
-                v = ((self.low + step - 1) // step) * step
-            if v < self.low + self.range:
-                if v > _MASK64:
-                    self._carry()
-                    v &= _MASK64
-                for j in range(k):
-                    self.out.append((v >> (56 - 8 * j)) & 0xFF)
-                break
-        return bytes(self.out)
+def _carry(out: bytearray) -> None:
+    i = len(out) - 1
+    while i >= 0 and out[i] == 0xFF:
+        out[i] = 0
+        i -= 1
+    if i >= 0:
+        out[i] += 1
 
 
-class RangeDecoder:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 8
-        self.range = _MASK64
-        code = 0
-        for i in range(8):
-            code = (code << 8) | (data[i] if i < len(data) else 0)
-        self.code = code
-
-    def decode_target(self, total: int) -> int:
-        self._r = self.range // total
-        t = self.code // self._r
-        if t >= total:
-            raise CorruptStreamError("decoded target outside the coded total")
-        return t
-
-    def consume(self, cum_low: int, freq: int) -> None:
-        r = self._r
-        self.code -= cum_low * r
-        self.range = r * freq
-        while self.range < _RENORM:
-            nxt = self.data[self.pos] if self.pos < len(self.data) else 0
-            self.pos += 1
-            self.code = ((self.code << 8) | nxt) & _MASK64
-            self.range <<= 8
+def _finish(out: bytearray, low: int, rng: int) -> bytes:
+    # Emit the fewest top bytes of some value in [low, low + rng); the
+    # decoder zero-pads, so trailing zero bytes are free.
+    for k in range(9):
+        step = 1 << (64 - 8 * k)
+        v = ((low + step - 1) // step) * step
+        if v < low + rng:
+            if v > _MASK64:
+                _carry(out)
+                v &= _MASK64
+            out += v.to_bytes(8, "big")[:k]
+            break
+    return bytes(out)
 
 
 def _build_rows(mus: np.ndarray, scales: np.ndarray, half_width: int):
@@ -203,8 +155,6 @@ def _cdf_tables(params: LaplaceParamField, half_width: int):
 
 
 def _check_value(symbols: np.ndarray) -> int:
-    if symbols.size == 0:
-        return 0
     weights = np.arange(1, symbols.size + 1, dtype=np.int64) * np.int64(2654435761)
     return int(np.sum(symbols.astype(np.int64) * weights, dtype=np.int64)) & 0xFFFF
 
@@ -228,29 +178,30 @@ def range_encode(
             f"symbol {int(flat[bad])} at flat index {bad} outside mu +/- {half_width}"
         )
 
-    enc = RangeEncoder()
+    cum_low, freq, total = [], [], []
     if flat.size:
         inv, bases, cums = _cdf_tables(params, half_width)
         j = flat - bases[inv]
-        cum_low = cums[inv, j]
-        freq = cums[inv, j + 1] - cum_low
-        total = cums[inv, -1]
-        low, rng, out, carry = enc.low, enc.range, enc.out, enc._carry
-        for c, f, t in zip(cum_low.tolist(), freq.tolist(), total.tolist()):
-            r = rng // t
-            low += c * r
-            if low > _MASK64:
-                carry()
-                low &= _MASK64
-            rng = r * f
-            while rng < _RENORM:
-                out.append(low >> 56)
-                low = (low << 8) & _MASK64
-                rng <<= 8
-        enc.low, enc.range = low, rng
-    chk = _check_value(flat)
-    enc.encode(chk, 1, _CHECK_TOTAL)
-    payload = enc.finish()
+        lo = cums[inv, j]
+        cum_low, freq, total = (lo.tolist(), (cums[inv, j + 1] - lo).tolist(),
+                                cums[inv, -1].tolist())
+    # The checksum is the last symbol: frequency 1 of a uniform 16-bit total.
+    cum_low.append(_check_value(flat))
+    freq.append(1)
+    total.append(_CHECK_TOTAL)
+    low, rng, out = 0, _MASK64, bytearray()
+    for c, f, t in zip(cum_low, freq, total):
+        r = rng // t
+        low += c * r
+        if low > _MASK64:
+            _carry(out)
+            low &= _MASK64
+        rng = r * f
+        while rng < _RENORM:
+            out.append(low >> 56)
+            low = (low << 8) & _MASK64
+            rng <<= 8
+    payload = _finish(out, low, rng)
     return Bitstream(payload, 8 * len(payload))
 
 
@@ -269,19 +220,30 @@ def range_decode(
         raise CorruptStreamError("bitstream shorter than its declared bit length")
 
     n = int(np.prod(shape)) if shape else 0
-    dec = RangeDecoder(bs.data[: (bs.bit_length + 7) // 8])
-    symbols = np.zeros(n, dtype=np.int64)
+    inv, tabs = [], []
     if n:
-        inv, bases, cums = _cdf_tables(params, half_width)
+        inv_rows, bases, cums = _cdf_tables(params, half_width)
+        inv = inv_rows.tolist()
         # Per row: its total, the bounds of its most probable symbol round(mu)
         # (index half_width), which most positions hold, and the whole row
         # for the rest.
         tabs = list(zip(cums[:, -1].tolist(), cums[:, half_width].tolist(),
                         cums[:, half_width + 1].tolist(), cums.tolist()))
-        js = [half_width] * n
-        data, pos, code, rng = dec.data, dec.pos, dec.code, dec.range
-        size = len(data)
-        for i, u in enumerate(inv.tolist()):
+    # The checksum row is uniform, so its bisect index is the symbol itself;
+    # its empty fast-path bounds send every target to the bisect.
+    inv.append(len(tabs))
+    tabs.append((_CHECK_TOTAL, 0, 0, range(_CHECK_TOTAL + 1)))
+    js = [half_width] * n + [0]
+    # The decoder reads 8 bytes ahead of the encoder: at renormalization
+    # byte k it reads payload byte k + 8.  A valid stream has at most
+    # len(payload) renormalization bytes (the payload is those bytes plus the
+    # flush, whose trailing zeros are left out), so its reads end inside the 8
+    # zero bytes appended here, and ``data[pos]`` raises IndexError only for a
+    # damaged stream or a header that declares more symbols than were coded.
+    data = bytes(bs.data[: (bs.bit_length + 7) // 8]) + bytes(8)
+    code, rng, pos = int.from_bytes(data[:8], "big"), _MASK64, 8
+    try:
+        for i, u in enumerate(inv):
             total, c, hi, row = tabs[u]
             r = rng // total
             t = code // r
@@ -296,14 +258,14 @@ def range_decode(
                 js[i] = j
             code -= c * r
             while rng < _RENORM:
-                code = ((code << 8) | (data[pos] if pos < size else 0)) & _MASK64
+                code = ((code << 8) | data[pos]) & _MASK64
                 pos += 1
                 rng <<= 8
-        dec.pos, dec.code, dec.range = pos, code, rng
-        symbols = bases[inv] + np.array(js, dtype=np.int64)
-    symbols = symbols.reshape(shape)
-    t = dec.decode_target(_CHECK_TOTAL)
-    dec.consume(t, 1)
-    if t != _check_value(symbols.ravel()):
+    except IndexError:
+        raise CorruptStreamError("stream exhausted: decoder read past the payload") from None
+    symbols = np.array(js[:n], dtype=np.int64)
+    if n:
+        symbols += bases[inv_rows]
+    if js[n] != _check_value(symbols):
         raise CorruptStreamError("checksum mismatch: stream truncated or corrupted")
-    return symbols
+    return symbols.reshape(shape)

@@ -1,6 +1,8 @@
 """Tests for the scalable codec: transform, motion, modes, coding, container,
 and the end-to-end encode/decode pipelines."""
 
+import tempfile
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -16,6 +18,7 @@ from svhm.codec import (
     decode_sequence,
     encode_sequence,
 )
+from svhm.cli import EXIT_OK, EXIT_USAGE, main as cli_main
 from svhm.codec import coding, container, motion, transform as tf
 from svhm.codec.container import FrameRecord
 from svhm.codec.frames import rgb_to_ycbcr, ycbcr_to_rgb
@@ -332,9 +335,9 @@ class TestCoding:
         x = random_frame(rng, 32, 32, index=1)
         ones = np.ones((32, 32))
         payload, recon = coding.code_inter_frame(
-            x, ctx, ones, 2, delta=2.0, extra=base, allow_skip=False)
+            x, ctx, ones, 2, delta=2.0, extra=base)
         dec = coding.decode_inter_frame(
-            payload, ctx, ones, 2, delta=2.0, extra=base, allow_skip=False, index=1)
+            payload, ctx, ones, 2, delta=2.0, extra=base, index=1)
         assert dec.allclose(recon)
         assert recon.allclose(x, tol=tf.pixel_error_bound(2.0) + 1e-9)
 
@@ -525,6 +528,39 @@ class TestPipeline:
         with pytest.raises(ValueError):
             encode_sequence(bad, CodecConfig())
 
+    @pytest.mark.parametrize("enhancement", [True, False], ids=["enh", "base_only"])
+    def test_encoder_reconstructions_match_decoder(self, monkeypatch, enhancement):
+        # Record every frame the encoder reconstructs; the decoder must
+        # output exactly those, bit for bit, across a GOP boundary.
+        clip = textured_scene(7, 40, 48, seed=5)
+        recon = {"base": [], "enh": []}
+        code_intra, code_inter = coding.code_intra_frame, coding.code_inter_frame
+
+        def intra(*args, **kwargs):
+            payload, hat = code_intra(*args, **kwargs)
+            recon["base"].append(hat)
+            return payload, hat
+
+        def inter(*args, **kwargs):
+            payload, hat = code_inter(*args, **kwargs)
+            recon["base" if kwargs.get("extra") is None else "enh"].append(hat)
+            return payload, hat
+
+        monkeypatch.setattr(coding, "code_intra_frame", intra)
+        monkeypatch.setattr(coding, "code_inter_frame", inter)
+        stream, _ = encode_sequence(
+            clip, CodecConfig(quality=1, gop=3, enhancement=enhancement))
+        monkeypatch.undo()
+        assert len(recon["base"]) == 7
+        assert len(recon["enh"]) == (7 if enhancement else 0)
+        expected = {"base": recon["base"],
+                    "base+enh": recon["enh"] if enhancement else recon["base"]}
+        for layers, frames in expected.items():
+            dec, report = decode_sequence(stream, layers)
+            assert report.error is None and len(dec) == 7
+            for a, b in zip(frames, dec):
+                assert all(np.array_equal(p, q) for p, q in zip(a.planes(), b.planes()))
+
     def test_base_only_encode(self, square_clip):
         stream, report = encode_sequence(
             square_clip, CodecConfig(quality=2, gop=8, enhancement=False))
@@ -532,6 +568,87 @@ class TestPipeline:
         dec, drep = decode_sequence(stream)
         assert len(dec) == len(square_clip)
         assert drep.error is None
+
+
+# ---------------------------------------------------------------------------
+# Hostile streams
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def small_stream():
+    stream, _ = encode_sequence(translating_square(3, 32, seed=0),
+                                CodecConfig(quality=1, gop=2))
+    return stream.serialize()
+
+
+def test_oversized_header_width_fails_fast():
+    # A header that declares 64032 columns where 32 were coded: the first
+    # plane's payload runs out long before its ~2M declared symbols do, and
+    # the range decoder stops at the first read past it.
+    stream, _ = encode_sequence(translating_square(6, 32, seed=0), CodecConfig())
+    raw = bytearray(stream.serialize())
+    raw[5:7] = (64032).to_bytes(2, "little")
+    dec, report = decode_sequence(ScalableBitstream.deserialize(bytes(raw)))
+    assert dec == []
+    assert report.error == "frame 0: stream exhausted: decoder read past the payload"
+
+
+_MUTATION = st.one_of(
+    st.tuples(st.just("truncate"), st.floats(0.0, 1.0)),
+    st.tuples(st.just("flip"), st.floats(0.0, 1.0), st.integers(0, 7)),
+    st.tuples(st.just("header"), st.integers(0, 17), st.integers(0, 255)),
+)
+
+
+def _mutate(raw: bytes, mutations) -> bytes:
+    out = bytearray(raw)
+    for kind, *arg in mutations:
+        if kind == "truncate":
+            del out[int(arg[0] * len(out)):]
+        elif kind == "flip" and out:
+            out[min(int(arg[0] * len(out)), len(out) - 1)] ^= 1 << arg[1]
+        elif kind == "header" and arg[0] < len(out):
+            out[arg[0]] = arg[1]
+    return bytes(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutations=st.lists(_MUTATION, min_size=1, max_size=3),
+       via_cli=st.integers(0, 19))
+def test_mutated_stream_fails_cleanly(small_stream, mutations, via_cli):
+    # Every mutation either fails to parse with ContainerError or decodes to
+    # frames plus, at worst, ``report.error``; nothing else escapes.
+    raw = _mutate(small_stream, mutations)
+    try:
+        stream = ScalableBitstream.deserialize(raw)
+    except ContainerError:
+        stream = None
+    if stream is not None:
+        for layers in ("base", "base+enh"):
+            dec, report = decode_sequence(stream, layers)
+            assert len(dec) == report.frame_count <= len(stream.frames)
+    if via_cli == 0:
+        with tempfile.TemporaryDirectory() as tmp:
+            src = Path(tmp) / "in.svhm"
+            src.write_bytes(raw)
+            code = cli_main(["decode", "--in", str(src), "--out", str(Path(tmp) / "out.y4m")])
+        assert code in (EXIT_OK, EXIT_USAGE)
+
+
+# ---------------------------------------------------------------------------
+# Synthetic clips
+# ---------------------------------------------------------------------------
+
+class TestSynthetic:
+    @pytest.mark.parametrize("size", [3, 12, 16])
+    def test_square_needs_room_to_move(self, size):
+        with pytest.raises(ValueError, match="16-pixel square"):
+            translating_square(3, size)
+
+    @pytest.mark.parametrize("size", [17, 32])
+    def test_square_whole_in_every_frame(self, size):
+        for f in translating_square(12, size):
+            assert np.count_nonzero(f.r == 220.0) == 16 * 16
 
 
 # ---------------------------------------------------------------------------
