@@ -3,6 +3,15 @@
 Conditioning enters through the probability model: Laplace scales are derived
 deterministically from decoder-available data (the predictor and, for the
 enhancement layer, the base frame), so no scale parameters are transmitted.
+
+Coefficients are coded up to the last significant position, as JPEG's EOB
+and HEVC's last-position coding do: each kept 8x8 block sends a count, 1 plus
+the zigzag index of its last nonzero coefficient (0 for an all-zero block),
+and then only its first ``count`` coefficients in zigzag order; the decoder
+fills the rest with zeros.  The count has one fixed model, Laplace mu 0,
+scale ``_COUNT_SCALE``, half-width ``COUNT_SUPPORT``, so it needs one cached
+CDF row and no side information.  Sub-streams are raw range-coder bytes; the
+coder's bit count is always 8 times their length, so it is not stored.
 """
 
 from __future__ import annotations
@@ -10,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..entropy_model import Bitstream, LaplaceParamField, quantize
-from ..range_coder import range_decode, range_encode
+from ..range_coder import CorruptStreamError, range_decode, range_encode
 from .frames import Frame
 from .modes import ALPHA_FLOOR
 from .motion import FlowField
@@ -20,6 +29,13 @@ CODEC_SUPPORT = 1024        # entropy-coder support half-width for coefficients
 FLOW_SUPPORT = 64
 _SCALE_MIN, _SCALE_MAX = 0.04, 256.0
 _INTRA_DC_LEVEL = 128.0     # mid-gray prior for the intra DC band
+COUNT_SUPPORT = 64          # support half-width of the per-block count
+_COUNT_SCALE = 16.0         # the count's Laplace model: mu 0, this scale
+_COEFFS = tf.BLOCK * tf.BLOCK
+# JPEG zigzag scan: anti-diagonals from DC, alternating direction
+_ZZ_ROW, _ZZ_COL = (np.array(c) for c in zip(*sorted(
+    np.ndindex(tf.BLOCK, tf.BLOCK),
+    key=lambda p: (p[0] + p[1], p[1] if (p[0] + p[1]) % 2 == 0 else p[0]))))
 
 
 def palette_scale(b: np.ndarray) -> np.ndarray:
@@ -111,24 +127,71 @@ def _reconstruct(symbols: np.ndarray, predictor: np.ndarray, offset,
 # A frame is three planes, each coded against a plane model: (predictor,
 # offset, delta, Laplace field of the kept blocks, keep mask).  The decoder
 # derives the same models, and both sides rebuild a plane with _reconstruct.
+# The kept blocks of the three planes form one list, R then G then B.  Its
+# payload is two range-coded sub-streams: every block's count, then the first
+# ``count`` coefficients of every block in zigzag order under the plane
+# models' parameters.  A frame without kept blocks has an empty payload.
+
+def _scan(counts: np.ndarray):
+    """Index of the first ``counts[i]`` zigzag positions of each block i,
+    block by block, into a (blocks, 8, 8) array."""
+    blocks, k = np.nonzero(np.arange(_COEFFS) < counts[:, None])
+    return blocks, _ZZ_ROW[k], _ZZ_COL[k]
+
+
+def _coded_params(models, scan) -> LaplaceParamField:
+    fields = [params for _, _, _, params, _ in models]
+    return LaplaceParamField(np.concatenate([f.mu for f in fields])[scan],
+                             np.concatenate([f.scale for f in fields])[scan])
+
+
+def _count_params(n: int) -> LaplaceParamField:
+    return LaplaceParamField(np.zeros(n), np.full(n, _COUNT_SCALE))
+
+
+def _read(raw: bytes, params: LaplaceParamField, half_width: int) -> np.ndarray:
+    return range_decode(Bitstream(raw, 8 * len(raw)), params, half_width=half_width)
+
+
+def _frame(planes, models, index: int) -> Frame:
+    return Frame(*(_reconstruct(symbols, pred, offset, delta, keep)
+                   for symbols, (pred, offset, delta, _, keep) in zip(planes, models)),
+                 index=index)
+
 
 def _code_planes(targets, models, index: int):
-    payloads = []
-    recons = []
-    for target, (pred, offset, delta, params, keep) in zip(targets, models):
-        diff = tf.forward(tf.blockify(target) - tf.blockify(pred))
-        symbols = quantize(diff / delta, max_symbol=CODEC_SUPPORT)[keep]
-        payloads.append(range_encode(symbols, params, half_width=CODEC_SUPPORT).to_bytes())
-        recons.append(_reconstruct(symbols, pred, offset, delta, keep))
-    return _pack(payloads), Frame(*recons, index=index)
+    models = list(models)
+    planes = [quantize(tf.forward(tf.blockify(target) - tf.blockify(pred)) / delta,
+                       max_symbol=CODEC_SUPPORT)[keep]
+              for target, (pred, _, delta, _, keep) in zip(targets, models)]
+    frame = _frame(planes, models, index)
+    symbols = np.concatenate(planes)
+    if not len(symbols):
+        return b"", frame
+    # count = 1 + zigzag index of the last nonzero coefficient, 0 if none
+    counts = ((symbols[:, _ZZ_ROW, _ZZ_COL] != 0) * np.arange(1, _COEFFS + 1)).max(axis=1)
+    scan = _scan(counts)
+    return _pack([
+        range_encode(counts, _count_params(counts.size), half_width=COUNT_SUPPORT).data,
+        range_encode(symbols[scan], _coded_params(models, scan), half_width=CODEC_SUPPORT).data,
+    ]), frame
 
 
 def _decode_planes(payload: bytes, models, index: int) -> Frame:
-    recons = []
-    for sub, (pred, offset, delta, params, keep) in zip(_unpack(payload, 3), models):
-        symbols = range_decode(Bitstream.from_bytes(sub), params, half_width=CODEC_SUPPORT)
-        recons.append(_reconstruct(symbols, pred, offset, delta, keep))
-    return Frame(*recons, index=index)
+    models = list(models)
+    sizes = [int(keep.sum()) for *_, keep in models]
+    symbols = np.zeros((0, tf.BLOCK, tf.BLOCK), dtype=np.int64)
+    if sum(sizes):
+        count_raw, coeff_raw = _unpack(payload, 2)
+        counts = _read(count_raw, _count_params(sum(sizes)), COUNT_SUPPORT)
+        if counts.min() < 0:
+            raise CorruptStreamError("negative coefficient count")
+        scan = _scan(counts)
+        symbols = np.zeros((counts.size, tf.BLOCK, tf.BLOCK), dtype=np.int64)
+        symbols[scan] = _read(coeff_raw, _coded_params(models, scan), CODEC_SUPPORT)
+    elif payload:
+        raise CorruptStreamError("payload for a frame without kept blocks")
+    return _frame(np.split(symbols, np.cumsum(sizes)[:-1]), models, index)
 
 
 def code_intra_frame(x: Frame, q: int):
@@ -197,11 +260,11 @@ def _flow_scales(vbar: FlowField) -> np.ndarray:
 def code_flow(flow: FlowField, vbar: FlowField) -> bytes:
     resid = np.stack([flow.dx - vbar.dx, flow.dy - vbar.dy])
     params = LaplaceParamField(np.zeros_like(resid, dtype=np.float64), _flow_scales(vbar))
-    return range_encode(resid, params, half_width=FLOW_SUPPORT).to_bytes()
+    return range_encode(resid, params, half_width=FLOW_SUPPORT).data
 
 
 def decode_flow(payload: bytes, vbar: FlowField, block: int, search: int) -> FlowField:
     shape = (2,) + vbar.dx.shape
     params = LaplaceParamField(np.zeros(shape), _flow_scales(vbar))
-    resid = range_decode(Bitstream.from_bytes(payload), params, half_width=FLOW_SUPPORT)
+    resid = _read(payload, params, FLOW_SUPPORT)
     return FlowField(vbar.dx + resid[0], vbar.dy + resid[1], block, search)

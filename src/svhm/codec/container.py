@@ -3,7 +3,7 @@
 Layout (all integers little-endian):
 
     magic  b"SVHM"
-    u8     version (1)
+    u8     version (2; other versions are refused)
     u16    width, u16 height
     u32    frame count
     u8     gop, u8 quality, u8 block, u8 search
@@ -13,6 +13,12 @@ Layout (all integers little-endian):
 
 Enhancement sub-streams may be empty (zero length); dropping them never
 touches base-layer decodability.
+
+Each signal sub-stream (base_signal, enh_context) is the coefficient payload
+of one frame (``coding``): two u32-length-prefixed range-coder outputs, the
+per-block counts of all kept blocks of R, G and B, then their coefficients
+up to each block's count.  A frame without kept blocks (every block SKIP) has
+an empty signal sub-stream.  Motion sub-streams are range-coder output as is.
 
 A header may declare at most ``MAX_PIXELS`` (4096 x 2160, which covers UHD
 3840 x 2160) pixels per frame.  The decoder allocates frame buffers from the
@@ -26,7 +32,7 @@ from dataclasses import dataclass, field
 from .transform import QUALITY_STEPS
 
 _MAGIC = b"SVHM"
-_VERSION = 1
+_VERSION = 2
 MAX_PIXELS = 4096 * 2160
 
 

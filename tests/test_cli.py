@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from svhm.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
-from svhm.codec import CodecConfig, ScalableBitstream, encode_sequence
+from svhm.codec import CodecConfig, ContainerError, ScalableBitstream, encode_sequence
 from svhm.codec.synthetic import translating_square
 from svhm.codec.y4m import read_y4m, write_y4m
 from svhm.evalkit import RDCurveTable, write_rd_csv
@@ -125,6 +125,21 @@ class TestEncodeDecode:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "even dimensions" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["odd.svhm"]
+
+    def test_version_1_stream_refused(self, encoded_bin, tmp_path, capsys):
+        # Version 1 coded every coefficient of a kept block; its payloads do
+        # not parse as version 2 coefficient payloads, so the parser refuses it.
+        raw = bytearray(open(encoded_bin, "rb").read())
+        assert raw[4] == 2
+        raw[4] = 1
+        with pytest.raises(ContainerError, match="version 1"):
+            ScalableBitstream.deserialize(bytes(raw))
+        src = tmp_path / "v1.svhm"
+        src.write_bytes(bytes(raw))
+        out = tmp_path / "x.y4m"
+        assert main(["decode", "--in", str(src), "--out", str(out)]) == EXIT_USAGE
+        assert "unsupported container version 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_usage_error_exit_code(self):
         assert main(["encode"]) == EXIT_USAGE

@@ -32,6 +32,8 @@ from svhm.codec.modes import (
 from svhm.codec.motion import FlowField, compensate, estimate_motion, predict_motion
 from svhm.codec.synthetic import translating_square, textured_scene
 from svhm.codec.y4m import Y4MError, read_y4m, write_y4m
+from svhm.entropy_model import LaplaceParamField
+from svhm.range_coder import CorruptStreamError, range_encode
 
 
 def random_frame(rng, h=48, w=56, index=0):
@@ -318,6 +320,61 @@ class TestCoding:
         dec = coding.decode_inter_frame(payload, xt, alpha, 2, index=1)
         assert dec.allclose(recon)
 
+    def test_all_skip_frame_has_empty_payload(self):
+        rng = np.random.default_rng(18)
+        xt = random_frame(rng, 32, 32)
+        x = random_frame(rng, 32, 32, index=1)
+        zero = np.zeros((32, 32))
+        payload, recon = coding.code_inter_frame(x, xt, zero, 2)
+        assert payload == b""
+        dec = coding.decode_inter_frame(payload, xt, zero, 2, index=1)
+        assert all(np.array_equal(p, q) for p, q in zip(dec.planes(), recon.planes()))
+        with pytest.raises(CorruptStreamError, match="without kept blocks"):
+            coding.decode_inter_frame(b"\x00", xt, zero, 2, index=1)
+
+    def test_counts_0_1_and_64_roundtrip(self):
+        # Three 8x8 blocks per plane: black (no nonzero coefficient, count
+        # 0), flat gray (DC only, count 1) and gray plus the (7, 7) basis
+        # function (last zigzag position, count 64).
+        basis = np.outer(tf.DCT[7], tf.DCT[7])
+        plane = np.hstack([np.zeros((8, 8)), np.full((8, 8), 128.0),
+                           128.0 + 200.0 * basis])
+        x = Frame(plane, plane.copy(), plane.copy(), 0)
+        black, ones = Frame(*np.zeros((3, 8, 24)), 0), np.ones((8, 24))
+        for payload, recon, decode in [
+            (*coding.code_intra_frame(x, 0),
+             lambda p: coding.decode_intra_frame(p, 0, 8, 24, 0)),
+            (*coding.code_inter_frame(x, black, ones, 0),
+             lambda p: coding.decode_inter_frame(p, black, ones, 0)),
+        ]:
+            counts = coding._read(coding._unpack(payload, 2)[0],
+                                  coding._count_params(9), coding.COUNT_SUPPORT)
+            assert counts.tolist() == [0, 1, 64] * 3
+            dec = decode(payload)
+            assert all(np.array_equal(p, q) for p, q in zip(dec.planes(), recon.planes()))
+            assert recon.allclose(x, tol=tf.pixel_error_bound(tf.quality_step(0)))
+
+    def test_negative_count_is_corrupt(self):
+        # A hand-built intra payload for a 32x32 frame (16 blocks per plane)
+        # whose count stream holds -1.
+        counts = np.zeros(48, dtype=np.int64)
+        counts[5] = -1
+        empty = np.zeros(0, dtype=np.int64)
+        payload = coding._pack([
+            range_encode(counts, coding._count_params(48),
+                         half_width=coding.COUNT_SUPPORT).data,
+            range_encode(empty, LaplaceParamField(empty, empty + 1.0),
+                         half_width=coding.CODEC_SUPPORT).data,
+        ])
+        with pytest.raises(CorruptStreamError, match="negative coefficient count"):
+            coding.decode_intra_frame(payload, 2, 32, 32, 0)
+        stream, _ = encode_sequence(translating_square(3, 32, seed=0),
+                                    CodecConfig(quality=2, gop=2))
+        stream.frames[2].base_signal = payload
+        dec, report = decode_sequence(stream)
+        assert len(dec) == 2
+        assert report.error == "frame 2: negative coefficient count"
+
     def test_skip_blocks_cost_less(self):
         rng = np.random.default_rng(15)
         xt = random_frame(rng, 32, 32)
@@ -372,7 +429,7 @@ class TestContainer:
     def test_header_fields(self):
         raw = self.make_stream().serialize()
         assert raw[:4] == b"SVHM"
-        assert raw[4] == 1
+        assert raw[4] == 2
         assert int.from_bytes(raw[5:7], "little") == 176
         assert int.from_bytes(raw[7:9], "little") == 144
         assert int.from_bytes(raw[9:13], "little") == 2
