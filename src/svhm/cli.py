@@ -202,6 +202,7 @@ def cmd_rdlab(args) -> int:
     rng = np.random.default_rng(args.seed)
     slopes = [float(s) for s in np.geomspace(0.01, 10.0, args.slopes)]
     worst = []
+    per_slope = [{"slope": s, "max_iterations": 0, "worst_gap": 0.0} for s in slopes]
     violations = 0
     for j in range(args.joints):
         joint = rdtheory.random_joint(rng)
@@ -213,6 +214,10 @@ def cmd_rdlab(args) -> int:
         violations += sum(1 for r in results if not r.holds)
         worst.append({"joint": j,
                       "worst_margin": min(r.margin for r in results)})
+        for entry, r in zip(per_slope, results):
+            entry["max_iterations"] = max(entry["max_iterations"],
+                                          r.r_c.iterations, r.r_r.iterations)
+            entry["worst_gap"] = max(entry["worst_gap"], r.r_c.gap, r.r_r.gap)
     out = {
         "joints": args.joints,
         "slopes": args.slopes,
@@ -221,6 +226,7 @@ def cmd_rdlab(args) -> int:
         "violations": violations,
         "all_hold": violations == 0,
         "per_joint_worst_margins": worst,
+        "per_slope": per_slope,
     }
     text = json.dumps(out, indent=2)
     if args.output:

@@ -69,6 +69,8 @@ def _unpack(raw: bytes, n: int) -> list[bytes]:
             raise ValueError("packed sub-stream truncated")
         out.append(raw[pos : pos + ln])
         pos += ln
+    if pos != len(raw):
+        raise ValueError("trailing bytes after the last packed sub-stream")
     return out
 
 

@@ -14,6 +14,7 @@ zero-rate end.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,6 +143,8 @@ class RDPoint:
     rate: float        # bits per source symbol
     distortion: float  # expected distortion
     slope: float       # Lagrangian weight on rate
+    iterations: int = 0  # Blahut-Arimoto map evaluations spent
+    gap: float = 0.0     # certified bound on the Lagrangian's excess over the optimum
 
 
 @dataclass
@@ -237,9 +240,14 @@ def blahut_arimoto(
 ) -> RDPoint:
     """Alternating minimization of ``distortion + slope * rate`` over channels.
 
-    Returns a point on the lower convex envelope of R(D) for the given slope.
-    Raises :class:`ConvergenceError` (carrying the best iterate) if the
-    Lagrangian has not stabilized within ``max_iters`` iterations.
+    Blahut-Arimoto's fixed-point map on the reconstruction marginal,
+    accelerated by SQUAREM (Varadhan & Roland, Scand. J. Statist. 35(2),
+    2008).  It stops only when Blahut's certified bound on the gap between
+    the returned point's Lagrangian and the optimum is below ``tol``; that
+    bound is returned as ``gap`` and the number of map evaluations as
+    ``iterations``.  Returns a point on the lower convex envelope of R(D) for
+    the given slope.  Raises :class:`ConvergenceError` (carrying the best
+    iterate) if ``max_iters`` map evaluations do not certify the gap.
     """
     p = _as_prob_vector(p, tol=1e-9)
     if slope < 0:
@@ -258,27 +266,56 @@ def blahut_arimoto(
 
     n_rec = rho.shape[1]
     w = np.exp(np.maximum(-lam * rho, -745.0))  # Boltzmann kernel, underflow-safe
-    q_y = np.full(n_rec, 1.0 / n_rec)
 
-    # Fixed-point iteration on the reconstruction marginal.  Two stops:
-    # successive values of the variational objective F = -sum p log(w @ q)
-    # (the Lagrangian of the half-step channel, in nats) differing by < tol,
-    # or Blahut's certified bound log(max_y T_y) on the gap to the optimum.
-    converged = False
-    prev_obj = np.inf
-    for _ in range(max_iters):
-        f = np.maximum(w @ q_y, 1e-300)   # per-source normalizers
-        t = (pa / f) @ w                  # marginal update multipliers
-        q_y = q_y * t
-        obj = -float(pa @ np.log(f)) / lam
-        if (prev_obj - obj < tol
-                or np.log(max(float(t.max()), 1e-300)) / lam < tol):
-            converged = True
+    def normalizers(q):
+        return np.maximum(w @ q, 1e-300)
+
+    def multipliers(f):
+        # BA's map is q -> q * t; log(max t) / lam bounds F(q) - F(q*) from
+        # above (Blahut 1972), where F(q) = -sum p log(w @ q) / lam is the
+        # Lagrangian of the channel proportional to w * q.
+        t = (pa / f) @ w
+        return t, math.log(max(float(t.max()), 1e-300)) / lam
+
+    # SQUAREM cycle: two map evaluations q -> q1 -> q2, then the step
+    # q - 2 a r + a^2 v with a = min(-|r|/|v|, -1).  The extrapolated point is
+    # floored at 1e-4 * q2, so letters leaving the support fall fast but
+    # never to zero, where the multiplicative map could not revive them.  One
+    # more map evaluation stabilizes it (it damps the fast modes the step
+    # excites, which otherwise shrink the next step); the result is kept only
+    # if F does not rise against q2.  The loop stops on the certified gap
+    # alone.
+    q = np.full(n_rec, 1.0 / n_rec)
+    f = normalizers(q)
+    t, gap = multipliers(f)
+    evals = 1
+    while gap >= tol and evals < max_iters:
+        q1 = q * t
+        f1 = normalizers(q1)
+        t1, gap1 = multipliers(f1)
+        evals += 1
+        if gap1 < tol or evals + 2 > max_iters:  # a cycle spends up to 2 more
+            q, f, gap = q1, f1, gap1
             break
-        prev_obj = obj
+        q2 = q1 * t1
+        f2 = normalizers(q2)
+        r = q1 - q
+        v = q2 - q1 - r
+        vv = float(v @ v)
+        alpha = min(-math.sqrt(float(r @ r) / vv), -1.0) if vv > 0 else -1.0
+        if alpha < -1.0:
+            qx = np.maximum(q - 2.0 * alpha * r + alpha * alpha * v, 1e-4 * q2)
+            qx /= qx.sum()
+            qx = qx * multipliers(normalizers(qx))[0]
+            evals += 1
+            fx = normalizers(qx)
+            if pa @ np.log(fx / f2) >= 0.0:
+                q2, f2 = qx, fx
+        q, f = q2, f2
+        t, gap = multipliers(f)
+        evals += 1
 
-    f = np.maximum(w @ q_y, 1e-300)
-    q_cond = (w / f[:, None]) * q_y[None, :]
+    q_cond = (w / f[:, None]) * q[None, :]
     q_cond /= q_cond.sum(axis=1, keepdims=True)
     q_marg = pa @ q_cond
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -286,11 +323,13 @@ def blahut_arimoto(
         info = np.where(q_cond > 0, q_cond * np.log(ratio), 0.0)
     rate = max(0.0, float(pa @ info.sum(axis=1)) / _LN2)
     distortion = float(np.sum(pa[:, None] * q_cond * rho))
-    best = RDPoint(rate=rate, distortion=distortion, slope=slope)
-    if converged:
+    best = RDPoint(rate=rate, distortion=distortion, slope=slope,
+                   iterations=evals, gap=gap)
+    if gap < tol:
         return best
     raise ConvergenceError(
-        f"Blahut-Arimoto did not converge within {max_iters} iterations", best
+        f"Blahut-Arimoto did not certify a gap below {tol:g} within "
+        f"{max_iters} map evaluations (gap {gap:.3g})", best
     )
 
 
@@ -326,7 +365,8 @@ def conditional_rd(
 
     At fixed slope the Lagrangian separates per y-context: each conditional
     distribution p(Z | Y = y) is solved at the same slope and the results are
-    mixed with weights p(y).
+    mixed with weights p(y).  So is the certified gap, which makes the
+    p(y)-weighted gap a bound for the mixture; iterations are summed.
     """
     z_alpha = residual_alphabet(j)
     if d.values.shape[0] != z_alpha.size:
@@ -335,8 +375,8 @@ def conditional_rd(
     diffs = np.round(j.x_alphabet[:, None] - j.y_alphabet[None, :], 9)
     idx = np.searchsorted(z_alpha, diffs)
 
-    rate = 0.0
-    distortion = 0.0
+    rate = distortion = gap = 0.0
+    iterations = 0
     for k in range(p_y.size):
         if p_y[k] <= 0:
             continue
@@ -345,7 +385,10 @@ def conditional_rd(
         pt = blahut_arimoto(pz_given_y, d, slope, tol=tol, max_iters=max_iters)
         rate += p_y[k] * pt.rate
         distortion += p_y[k] * pt.distortion
-    return RDPoint(rate=float(rate), distortion=float(distortion), slope=slope)
+        gap += p_y[k] * pt.gap
+        iterations += pt.iterations
+    return RDPoint(rate=float(rate), distortion=float(distortion), slope=slope,
+                   iterations=iterations, gap=float(gap))
 
 
 @dataclass(frozen=True)
@@ -422,43 +465,8 @@ def random_joint(
 
 
 # ---------------------------------------------------------------------------
-# Plain-text / CSV interfaces
+# CSV output
 # ---------------------------------------------------------------------------
-
-def save_joint(path, j: DiscreteJointSource) -> None:
-    """Text format: line 1 x-alphabet, line 2 y-alphabet, then pmf rows."""
-    with open(path, "w") as f:
-        f.write(" ".join(repr(float(v)) for v in j.x_alphabet) + "\n")
-        f.write(" ".join(repr(float(v)) for v in j.y_alphabet) + "\n")
-        for row in j.pmf:
-            f.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_joint(path) -> DiscreteJointSource:
-    with open(path) as f:
-        lines = [ln for ln in (raw.strip() for raw in f) if ln]
-    if len(lines) < 3:
-        raise DistributionError(f"{path}: expected two alphabet lines plus pmf rows")
-    x_alpha = np.array([float(t) for t in lines[0].split()])
-    y_alpha = np.array([float(t) for t in lines[1].split()])
-    pmf = np.array([[float(t) for t in ln.split()] for ln in lines[2:]])
-    return DiscreteJointSource(x_alpha, y_alpha, pmf)
-
-
-def save_distortion(path, d: DistortionMatrix) -> None:
-    with open(path, "w") as f:
-        f.write(" ".join(repr(float(v)) for v in d.reconstruction_alphabet) + "\n")
-        for row in d.values:
-            f.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_distortion(path) -> DistortionMatrix:
-    with open(path) as f:
-        lines = [ln for ln in (raw.strip() for raw in f) if ln]
-    rec = np.array([float(t) for t in lines[0].split()])
-    values = np.array([[float(t) for t in ln.split()] for ln in lines[1:]])
-    return DistortionMatrix(values, rec)
-
 
 def write_rd_csv(path, points) -> None:
     with open(path, "w", newline="") as f:

@@ -230,6 +230,10 @@ class TestRDLab:
         assert data["violations"] == 0
         assert len(data["per_joint_worst_margins"]) == 3
         assert all(m["worst_margin"] >= -1e-6 for m in data["per_joint_worst_margins"])
+        assert [e["slope"] for e in data["per_slope"]] == pytest.approx(
+            np.geomspace(0.01, 10.0, 4))
+        assert all(e["worst_gap"] < 1e-9 for e in data["per_slope"])
+        assert all(e["max_iterations"] >= 1 for e in data["per_slope"])
 
     def test_exit_codes_defined(self):
         assert (EXIT_OK, EXIT_VERIFY, EXIT_USAGE) == (0, 1, 2)

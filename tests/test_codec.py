@@ -375,6 +375,18 @@ class TestCoding:
         assert len(dec) == 2
         assert report.error == "frame 2: negative coefficient count"
 
+    def test_trailing_bytes_after_substreams_refused(self):
+        x = textured_scene(1, 32, 32, seed=0)[0]
+        payload, _ = coding.code_intra_frame(x, 2)
+        with pytest.raises(ValueError, match="trailing bytes"):
+            coding.decode_intra_frame(payload + b"junk", 2, 32, 32, 0)
+        stream, _ = encode_sequence(textured_scene(3, 32, 32, seed=0),
+                                    CodecConfig(quality=2, gop=2))
+        stream.frames[1].base_signal += b"junk"
+        dec, report = decode_sequence(stream)
+        assert len(dec) == 1
+        assert report.error == "frame 1: trailing bytes after the last packed sub-stream"
+
     def test_skip_blocks_cost_less(self):
         rng = np.random.default_rng(15)
         xt = random_frame(rng, 32, 32)

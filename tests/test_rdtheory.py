@@ -193,6 +193,36 @@ class TestBlahutArimoto:
             rd.blahut_arimoto([0.1, 0.4, 0.3, 0.2], d, 0.5, tol=1e-15, max_iters=2)
         assert isinstance(exc.value.best, rd.RDPoint)
         assert exc.value.best.rate >= 0.0
+        assert exc.value.best.iterations == 2
+        assert exc.value.best.gap >= 1e-15
+
+    def test_lagrangian_within_tol_of_tight_solve(self, monkeypatch):
+        # The stop is Blahut's certified gap alone, so every residual and
+        # per-context solve of a criterion-1 joint lands within tol of the
+        # optimum.  A stop on successive objective differences left these
+        # up to 5.2e-7 above it.
+        solves = []
+        solve = rd.blahut_arimoto
+
+        def recording(p, d, slope, **kw):
+            pt = solve(p, d, slope, **kw)
+            solves.append((p, d, pt))
+            return pt
+
+        monkeypatch.setattr(rd, "blahut_arimoto", recording)
+        rng = np.random.default_rng(2024)
+        slopes = [float(s) for s in np.geomspace(0.01, 10.0, 10)[-2:]]  # 4.64, 10
+        for _ in range(4):
+            j = rd.random_joint(rng)
+            d = rd.DistortionMatrix.squared_error(rd.residual_alphabet(j))
+            for cmp in rd.verify_rd_inequality(j, d, slopes, ba_max_iters=400_000):
+                assert cmp.r_c.gap < 1e-9 and cmp.r_r.gap < 1e-9
+        monkeypatch.undo()
+        assert len(solves) >= 8
+        for p, d, pt in solves:
+            assert pt.gap < rd.DEFAULT_TOL
+            ref = rd.blahut_arimoto(p, d, pt.slope, tol=1e-12, max_iters=400_000)
+            assert abs(rd.lagrangian_cost(pt) - rd.lagrangian_cost(ref)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +246,17 @@ class TestConditionalVsResidual:
             pt = rd.residual_rd(j, d, s)
             assert pt.rate == pytest.approx(0.0, abs=1e-9)
             assert pt.distortion == pytest.approx(0.0, abs=1e-9)
+
+    def test_conditional_point_mixes_context_solves(self):
+        j = uniform_binary_independent()
+        d = rd.DistortionMatrix.squared_error(rd.residual_alphabet(j))
+        za = rd.residual_alphabet(j)
+        contexts = [rd.blahut_arimoto(np.isin(za, z) * 0.5, d, 0.7)
+                    for z in ([0.0, 1.0], [-1.0, 0.0])]
+        pc = rd.conditional_rd(j, d, 0.7)
+        assert pc.iterations == sum(pt.iterations for pt in contexts)
+        assert pc.gap == pytest.approx(0.5 * sum(pt.gap for pt in contexts), rel=1e-12)
+        assert pc.gap < rd.DEFAULT_TOL
 
     def test_single_context_equals_residual(self):
         j = rd.DiscreteJointSource([0.0, 2.0, 5.0], [3.0], [[0.2], [0.3], [0.5]])
@@ -301,33 +342,10 @@ class TestDPI:
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# CSV output
 # ---------------------------------------------------------------------------
 
 class TestIO:
-    def test_joint_roundtrip(self, tmp_path):
-        j = uniform_binary_independent()
-        path = tmp_path / "joint.txt"
-        rd.save_joint(path, j)
-        j2 = rd.load_joint(path)
-        assert np.array_equal(j.x_alphabet, j2.x_alphabet)
-        assert np.array_equal(j.y_alphabet, j2.y_alphabet)
-        assert np.array_equal(j.pmf, j2.pmf)
-
-    def test_distortion_roundtrip(self, tmp_path):
-        d = rd.DistortionMatrix.squared_error([-1.0, 0.0, 2.0])
-        path = tmp_path / "dist.txt"
-        rd.save_distortion(path, d)
-        d2 = rd.load_distortion(path)
-        assert np.array_equal(d.values, d2.values)
-        assert np.array_equal(d.reconstruction_alphabet, d2.reconstruction_alphabet)
-
-    def test_load_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("0 1\n")
-        with pytest.raises(rd.DistributionError):
-            rd.load_joint(path)
-
     def test_rd_csv(self, tmp_path):
         pts = [rd.RDPoint(1.0, 0.5, 0.1), rd.RDPoint(0.5, 1.0, 0.9)]
         path = tmp_path / "rd.csv"
