@@ -48,11 +48,11 @@ def unblockify(blocks: np.ndarray, height: int, width: int) -> np.ndarray:
 
 
 def forward(blocks: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,...jk,lk->...il", DCT, blocks, DCT, optimize=True)
+    return DCT @ blocks @ DCT.T
 
 
 def inverse(coeffs: np.ndarray) -> np.ndarray:
-    return np.einsum("ji,...jk,kl->...il", DCT, coeffs, DCT, optimize=True)
+    return DCT.T @ coeffs @ DCT
 
 
 def pixel_error_bound(delta: float) -> float:

@@ -56,20 +56,6 @@ class Bitstream:
         if self.bit_length > 8 * len(self.data):
             raise ValueError("bit_length exceeds payload size")
 
-    def to_bytes(self) -> bytes:
-        # Wire layout: u32 little-endian payload bit count, then coder bytes.
-        return self.bit_length.to_bytes(4, "little") + self.data
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "Bitstream":
-        if len(raw) < 4:
-            raise ValueError("bitstream shorter than its header")
-        bit_length = int.from_bytes(raw[:4], "little")
-        payload = raw[4:]
-        if bit_length > 8 * len(payload):
-            raise ValueError("declared bit length exceeds available payload")
-        return cls(payload, bit_length)
-
 
 def laplace_cdf(x, mu, b):
     z = (np.asarray(x, dtype=np.float64) - mu) / b
@@ -113,7 +99,3 @@ def quantize(x: np.ndarray, max_symbol: int | None = None) -> np.ndarray:
             f"symbol {int(s[idx])} at index {idx} exceeds bound {max_symbol}"
         )
     return s.astype(np.int64)
-
-
-def dequantize(s: np.ndarray) -> np.ndarray:
-    return np.asarray(s, dtype=np.float64)

@@ -223,17 +223,22 @@ def range_decode(
     inv, tabs = [], []
     if n:
         inv_rows, bases, cums = _cdf_tables(params, half_width)
+        lo, hi = max(half_width - 1, 0), min(half_width + 2, 2 * half_width + 1)
         inv = inv_rows.tolist()
-        # Per row: its total, the bounds of its most probable symbol round(mu)
-        # (index half_width), which most positions hold, and the whole row
-        # for the rest.
-        tabs = list(zip(cums[:, -1].tolist(), cums[:, half_width].tolist(),
-                        cums[:, half_width + 1].tolist(), cums.tolist()))
+        # Per row: its total, the cumulative counts bounding round(mu) - 1,
+        # round(mu) (index half_width) and round(mu) + 1, which hold most
+        # positions, clamped to the row for small half-widths, and a slot for
+        # the whole row as a list, filled when the row is first bisected.
+        tabs = [[*b, None] for b in zip(cums[:, -1].tolist(), cums[:, lo].tolist(),
+                                        cums[:, half_width].tolist(),
+                                        cums[:, half_width + 1].tolist(),
+                                        cums[:, hi].tolist())]
     # The checksum row is uniform, so its bisect index is the symbol itself;
     # its empty fast-path bounds send every target to the bisect.
     inv.append(len(tabs))
-    tabs.append((_CHECK_TOTAL, 0, 0, range(_CHECK_TOTAL + 1)))
+    tabs.append([_CHECK_TOTAL, 0, 0, 0, 0, range(_CHECK_TOTAL + 1)])
     js = [half_width] * n + [0]
+    below, above = half_width - 1, half_width + 1
     # The decoder reads 8 bytes ahead of the encoder: at renormalization
     # byte k it reads payload byte k + 8.  A valid stream has at most
     # len(payload) renormalization bytes (the payload is those bytes plus the
@@ -244,14 +249,25 @@ def range_decode(
     code, rng, pos = int.from_bytes(data[:8], "big"), _MASK64, 8
     try:
         for i, u in enumerate(inv):
-            total, c, hi, row = tabs[u]
+            tab = tabs[u]
+            total, a, b, c, e, row = tab
             r = rng // total
             t = code // r
-            if c <= t < hi:
-                rng = r * (hi - c)
+            if b <= t < c:
+                rng = r * (c - b)
+                c = b
+            elif a <= t < b:
+                rng = r * (b - a)
+                c = a
+                js[i] = below
+            elif c <= t < e:
+                rng = r * (e - c)
+                js[i] = above
             else:
                 if t >= total:
                     raise CorruptStreamError("decoded target outside the coded total")
+                if row is None:
+                    row = tab[5] = cums[u].tolist()
                 j = bisect_right(row, t) - 1
                 c = row[j]
                 rng = r * (row[j + 1] - c)

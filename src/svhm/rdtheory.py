@@ -24,7 +24,11 @@ LOG_FLOOR = 1e-15
 _LN2 = np.log(2.0)
 
 DEFAULT_TOL = 1e-9
-DEFAULT_MAX_ITERS = 10_000
+DEFAULT_MAX_ITERS = 100_000
+# Relative mass below which Blahut-Arimoto treats a reproduction letter as
+# leaving the support: the SQUAREM step floors letters there, and the active
+# set prunes letters under it whose multiplier is below 1.
+_SUPPORT_FLOOR = 1e-4
 
 
 class DistributionError(ValueError):
@@ -248,6 +252,16 @@ def blahut_arimoto(
     ``iterations``.  Returns a point on the lower convex envelope of R(D) for
     the given slope.  Raises :class:`ConvergenceError` (carrying the best
     iterate) if ``max_iters`` map evaluations do not certify the gap.
+
+    At the optimum every multiplier satisfies t_y <= 1, with equality on the
+    support (Blahut 1972), and the map multiplies q_y by t_y, so a letter
+    leaving the support decays only geometrically.  The loop therefore keeps
+    an active set: a letter whose mass is below ``_SUPPORT_FLOOR`` times the
+    largest and whose multiplier is below 1 is set to exactly 0, and a
+    zeroed letter whose multiplier rises above 1 is revived at that floor.
+    Each letter is pruned at most once, so the loop cannot cycle: after the
+    last prune it is plain SQUAREM.  The multipliers cover every letter, so
+    a wrongly pruned one holds the certified gap up until it is revived.
     """
     p = _as_prob_vector(p, tol=1e-9)
     if slope < 0:
@@ -279,17 +293,33 @@ def blahut_arimoto(
 
     # SQUAREM cycle: two map evaluations q -> q1 -> q2, then the step
     # q - 2 a r + a^2 v with a = min(-|r|/|v|, -1).  The extrapolated point is
-    # floored at 1e-4 * q2, so letters leaving the support fall fast but
-    # never to zero, where the multiplicative map could not revive them.  One
-    # more map evaluation stabilizes it (it damps the fast modes the step
-    # excites, which otherwise shrink the next step); the result is kept only
-    # if F does not rise against q2.  The loop stops on the certified gap
+    # floored at _SUPPORT_FLOOR * q2, so letters leaving the support fall fast
+    # but never to zero, where the multiplicative map could not revive them;
+    # only the active set zeroes a letter.  One more map evaluation
+    # stabilizes the point (it damps the fast modes the step excites, which
+    # otherwise shrink the next step); the result is kept only if F does not
+    # rise against q2.  Before each cycle the active set prunes dying letters
+    # to exactly 0 (each at most once) and revives zeroed letters with t > 1;
+    # that costs one map evaluation.  The loop stops on the certified gap
     # alone.
     q = np.full(n_rec, 1.0 / n_rec)
     f = normalizers(q)
     t, gap = multipliers(f)
     evals = 1
+    pruned = np.zeros(n_rec, dtype=bool)
     while gap >= tol and evals < max_iters:
+        floor = _SUPPORT_FLOOR * q.max()
+        dead = (q < floor) & (t < 1.0) & ~pruned
+        revive = (q == 0.0) & (t > 1.0)
+        if dead.any() or revive.any():
+            pruned |= dead
+            q = np.where(dead, 0.0, np.where(revive, floor, q))
+            q /= q.sum()
+            f = normalizers(q)
+            t, gap = multipliers(f)
+            evals += 1
+            if gap < tol or evals >= max_iters:
+                break
         q1 = q * t
         f1 = normalizers(q1)
         t1, gap1 = multipliers(f1)
@@ -304,7 +334,8 @@ def blahut_arimoto(
         vv = float(v @ v)
         alpha = min(-math.sqrt(float(r @ r) / vv), -1.0) if vv > 0 else -1.0
         if alpha < -1.0:
-            qx = np.maximum(q - 2.0 * alpha * r + alpha * alpha * v, 1e-4 * q2)
+            qx = np.maximum(q - 2.0 * alpha * r + alpha * alpha * v,
+                            _SUPPORT_FLOOR * q2)
             qx /= qx.sum()
             qx = qx * multipliers(normalizers(qx))[0]
             evals += 1

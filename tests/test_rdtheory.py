@@ -199,8 +199,8 @@ class TestBlahutArimoto:
     def test_lagrangian_within_tol_of_tight_solve(self, monkeypatch):
         # The stop is Blahut's certified gap alone, so every residual and
         # per-context solve of a criterion-1 joint lands within tol of the
-        # optimum.  A stop on successive objective differences left these
-        # up to 5.2e-7 above it.
+        # optimum, however the active set pruned on the way.  A stop on
+        # successive objective differences left these up to 5.2e-7 above it.
         solves = []
         solve = rd.blahut_arimoto
 
@@ -211,7 +211,8 @@ class TestBlahutArimoto:
 
         monkeypatch.setattr(rd, "blahut_arimoto", recording)
         rng = np.random.default_rng(2024)
-        slopes = [float(s) for s in np.geomspace(0.01, 10.0, 10)[-2:]]  # 4.64, 10
+        # 1.0 and 2.15 are where the active set prunes and revives letters
+        slopes = [float(s) for s in np.geomspace(0.01, 10.0, 10)[-4:]]  # 1 .. 10
         for _ in range(4):
             j = rd.random_joint(rng)
             d = rd.DistortionMatrix.squared_error(rd.residual_alphabet(j))
@@ -223,6 +224,32 @@ class TestBlahutArimoto:
             assert pt.gap < rd.DEFAULT_TOL
             ref = rd.blahut_arimoto(p, d, pt.slope, tol=1e-12, max_iters=400_000)
             assert abs(rd.lagrangian_cost(pt) - rd.lagrangian_cost(ref)) <= 1e-9
+
+    def test_default_budget_certifies_criterion_1_slowest_joint(self):
+        # Joint 33 of criterion 1's stream (8 x 3) has its slowest solve: the
+        # residual at slope 10 needs 25,608 map evaluations, more than the
+        # old default budget of 10,000.
+        rng = np.random.default_rng(2024)
+        for _ in range(34):
+            j = rd.random_joint(rng)
+        d = rd.DistortionMatrix.squared_error(rd.residual_alphabet(j))
+        slopes = [float(s) for s in np.geomspace(0.01, 10.0, 10)]
+        for cmp in rd.verify_rd_inequality(j, d, slopes):
+            assert cmp.holds
+            assert cmp.r_c.gap < rd.DEFAULT_TOL and cmp.r_r.gap < rd.DEFAULT_TOL
+
+    def test_dying_letters_do_not_stall_the_slowest_benchmark_solve(self):
+        # The benchmark corpus's slowest solve, the residual of its first
+        # 5 x 3 joint at slope 10, spent 11,327 map evaluations decaying
+        # letters that leave the support before the active set pruned them.
+        rng = np.random.default_rng(2024)
+        j = rd.random_joint(rng)
+        while (j.x_alphabet.size, j.y_alphabet.size) != (5, 3):
+            j = rd.random_joint(rng)
+        d = rd.DistortionMatrix.squared_error(rd.residual_alphabet(j))
+        pt = rd.residual_rd(j, d, 10.0)
+        assert pt.gap < rd.DEFAULT_TOL
+        assert pt.iterations <= 6_000
 
 
 # ---------------------------------------------------------------------------
