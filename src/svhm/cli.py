@@ -59,6 +59,14 @@ def _atomic_write_text(path: str, text: str) -> None:
     _atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def _emit(args, text: str) -> None:
+    """Write ``text`` to ``--out`` if given, else print it."""
+    if args.output:
+        _atomic_write_text(args.output, text)
+    else:
+        print(text)
+
+
 def _load_frames(args):
     if not os.path.exists(args.input):
         raise CommandError(f"input file not found: {args.input}")
@@ -144,11 +152,7 @@ def cmd_metrics(args) -> int:
     }
     if args.msssim:
         out["mean_msssim"] = float(np.mean([r["msssim"] for r in rows]))
-    text = json.dumps(out, indent=2)
-    if args.output:
-        _atomic_write_text(args.output, text)
-    else:
-        print(text)
+    _emit(args, json.dumps(out, indent=2))
     return EXIT_OK
 
 
@@ -165,11 +169,7 @@ def cmd_bdrate(args) -> int:
         raise CommandError(str(exc)) from exc
     out = {"anchor": args.anchor, "test": args.test, "metric": args.metric,
            "bd_rate_percent": bd}
-    text = json.dumps(out, indent=2)
-    if args.output:
-        _atomic_write_text(args.output, text)
-    else:
-        print(text)
+    _emit(args, json.dumps(out, indent=2))
     return EXIT_OK
 
 
@@ -189,10 +189,7 @@ def cmd_breakeven(args) -> int:
         except ValueError as exc:
             raise CommandError(str(exc)) from exc
         text = json.dumps({"phi": result.phi, "regime": result.regime}, indent=2)
-    if args.output:
-        _atomic_write_text(args.output, text)
-    else:
-        print(text)
+    _emit(args, text)
     return EXIT_OK
 
 
@@ -228,11 +225,7 @@ def cmd_rdlab(args) -> int:
         "per_joint_worst_margins": worst,
         "per_slope": per_slope,
     }
-    text = json.dumps(out, indent=2)
-    if args.output:
-        _atomic_write_text(args.output, text)
-    else:
-        print(text)
+    _emit(args, json.dumps(out, indent=2))
     return EXIT_OK if violations == 0 else EXIT_VERIFY
 
 

@@ -12,14 +12,19 @@ fills the rest with zeros.  The count has one fixed model, Laplace mu 0,
 scale ``_COUNT_SCALE``, half-width ``COUNT_SUPPORT``, so it needs one cached
 CDF row and no side information.  Sub-streams are raw range-coder bytes; the
 coder's bit count is always 8 times their length, so it is not stored.
+
+The enhancement layer's quantization step is decided here and nowhere else:
+an inter-frame call with ``extra`` (the decoded base frame) codes at half the
+base step ``quality_step(q)``, one without it at the base step itself.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..entropy_model import Bitstream, LaplaceParamField, quantize
+from ..entropy_model import SCALE_FLOOR, Bitstream, LaplaceParamField, quantize
 from ..range_coder import CorruptStreamError, range_decode, range_encode
+from .container import pack, unpack
 from .frames import Frame
 from .modes import ALPHA_FLOOR
 from .motion import FlowField
@@ -27,7 +32,7 @@ from . import transform as tf
 
 CODEC_SUPPORT = 1024        # entropy-coder support half-width for coefficients
 FLOW_SUPPORT = 64
-_SCALE_MIN, _SCALE_MAX = 0.04, 256.0
+_SCALE_MAX = 256.0
 _INTRA_DC_LEVEL = 128.0     # mid-gray prior for the intra DC band
 COUNT_SUPPORT = 64          # support half-width of the per-block count
 _COUNT_SCALE = 16.0         # the count's Laplace model: mu 0, this scale
@@ -44,34 +49,9 @@ def palette_scale(b: np.ndarray) -> np.ndarray:
     Keeps the number of distinct integer CDFs per plane small; the rule is a
     pure function of its input, so encoder and decoder agree.
     """
-    b = np.clip(np.asarray(b, dtype=np.float64), _SCALE_MIN, _SCALE_MAX)
-    e = np.round(np.log2(b / _SCALE_MIN) * 4.0)
-    return _SCALE_MIN * np.exp2(e / 4.0)
-
-
-def _pack(payloads: list[bytes]) -> bytes:
-    out = bytearray()
-    for p in payloads:
-        out += len(p).to_bytes(4, "little")
-        out += p
-    return bytes(out)
-
-
-def _unpack(raw: bytes, n: int) -> list[bytes]:
-    out = []
-    pos = 0
-    for _ in range(n):
-        if pos + 4 > len(raw):
-            raise ValueError("packed sub-stream truncated")
-        ln = int.from_bytes(raw[pos : pos + 4], "little")
-        pos += 4
-        if pos + ln > len(raw):
-            raise ValueError("packed sub-stream truncated")
-        out.append(raw[pos : pos + ln])
-        pos += ln
-    if pos != len(raw):
-        raise ValueError("trailing bytes after the last packed sub-stream")
-    return out
+    b = np.clip(np.asarray(b, dtype=np.float64), SCALE_FLOOR, _SCALE_MAX)
+    e = np.round(np.log2(b / SCALE_FLOOR) * 4.0)
+    return SCALE_FLOOR * np.exp2(e / 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +153,7 @@ def _code_planes(targets, models, index: int):
     # count = 1 + zigzag index of the last nonzero coefficient, 0 if none
     counts = ((symbols[:, _ZZ_ROW, _ZZ_COL] != 0) * np.arange(1, _COEFFS + 1)).max(axis=1)
     scan = _scan(counts)
-    return _pack([
+    return pack([
         range_encode(counts, _count_params(counts.size), half_width=COUNT_SUPPORT).data,
         range_encode(symbols[scan], _coded_params(models, scan), half_width=CODEC_SUPPORT).data,
     ]), frame
@@ -184,7 +164,7 @@ def _decode_planes(payload: bytes, models, index: int) -> Frame:
     sizes = [int(keep.sum()) for *_, keep in models]
     symbols = np.zeros((0, tf.BLOCK, tf.BLOCK), dtype=np.int64)
     if sum(sizes):
-        count_raw, coeff_raw = _unpack(payload, 2)
+        count_raw, coeff_raw = unpack(payload, 2)
         counts = _read(count_raw, _count_params(sum(sizes)), COUNT_SUPPORT)
         if counts.min() < 0:
             raise CorruptStreamError("negative coefficient count")
@@ -212,11 +192,12 @@ def _alpha_blocks(alpha: np.ndarray):
     return means, skip
 
 
-def _inter_models(xtilde: Frame, alpha: np.ndarray, delta: float,
-                  extra: Frame | None):
+def _inter_models(xtilde: Frame, alpha: np.ndarray, q: int, extra: Frame | None):
     """Plane models of an inter frame: predictor alpha * xtilde, offset
     (1 - alpha) * xtilde, zero-mean Laplace scales from ``_inter_scales``.
-    The enhancement layer codes with alpha = 1, so it never skips a block."""
+    The enhancement layer (``extra`` given) codes at half the base step and
+    with alpha = 1, so it never skips a block."""
+    delta = tf.quality_step(q) / (1.0 if extra is None else 2.0)
     abar, skip = _alpha_blocks(alpha)
     keep = ~skip
     for i, pred_plane in enumerate(xtilde.planes()):
@@ -228,7 +209,6 @@ def _inter_models(xtilde: Frame, alpha: np.ndarray, delta: float,
 
 
 def code_inter_frame(x: Frame, xtilde: Frame, alpha: np.ndarray, q: int,
-                     delta: float | None = None,
                      extra: Frame | None = None):
     """Conditional inter coding of alpha*x against alpha*xtilde.
 
@@ -238,16 +218,13 @@ def code_inter_frame(x: Frame, xtilde: Frame, alpha: np.ndarray, q: int,
     """
     if alpha.shape != (x.height, x.width):
         raise ValueError("alpha map shape mismatch")
-    delta = tf.quality_step(q) if delta is None else delta
     return _code_planes([alpha * plane for plane in x.planes()],
-                        _inter_models(xtilde, alpha, delta, extra), x.index)
+                        _inter_models(xtilde, alpha, q, extra), x.index)
 
 
 def decode_inter_frame(payload: bytes, xtilde: Frame, alpha: np.ndarray, q: int,
-                       delta: float | None = None,
                        extra: Frame | None = None, index: int = 0) -> Frame:
-    delta = tf.quality_step(q) if delta is None else delta
-    return _decode_planes(payload, _inter_models(xtilde, alpha, delta, extra), index)
+    return _decode_planes(payload, _inter_models(xtilde, alpha, q, extra), index)
 
 
 # ---------------------------------------------------------------------------

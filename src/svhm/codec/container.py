@@ -20,6 +20,12 @@ per-block counts of all kept blocks of R, G and B, then their coefficients
 up to each block's count.  A frame without kept blocks (every block SKIP) has
 an empty signal sub-stream.  Motion sub-streams are range-coder output as is.
 
+Both levels are framed by one pair, :func:`pack` and :func:`unpack`: a list
+of u32-length-prefixed payloads that must fill its input exactly, so a
+truncated list and one with trailing bytes are refused by the same rule.  A
+range-coder output must in turn be exactly as long as its encoder writes it
+for the symbols it decodes to (``range_coder.range_decode``).
+
 A header may declare at most ``MAX_PIXELS`` (4096 x 2160, which covers UHD
 3840 x 2160) pixels per frame.  The decoder allocates frame buffers from the
 declared size, so the parser refuses a larger frame before any allocation.
@@ -38,6 +44,29 @@ MAX_PIXELS = 4096 * 2160
 
 class ContainerError(ValueError):
     pass
+
+
+def pack(payloads) -> bytes:
+    """Concatenate payloads, each prefixed by its u32 little-endian length."""
+    out = bytearray()
+    for p in payloads:
+        out += len(p).to_bytes(4, "little")
+        out += p
+    return bytes(out)
+
+
+def unpack(raw: bytes, n: int) -> list[bytes]:
+    """Inverse of :func:`pack` for ``n`` payloads that fill ``raw`` exactly."""
+    out, pos = [], 0
+    for i in range(n):
+        ln = int.from_bytes(raw[pos : pos + 4], "little")
+        if pos + 4 + ln > len(raw):
+            raise ContainerError(f"truncated in packed sub-stream {i} of {n}")
+        out.append(raw[pos + 4 : pos + 4 + ln])
+        pos += 4 + ln
+    if pos != len(raw):
+        raise ContainerError("trailing bytes after the last packed sub-stream")
+    return out
 
 
 def check_header_fields(quality: int, gop: int, block: int, search: int) -> None:
@@ -77,9 +106,6 @@ class FrameRecord:
     def substreams(self) -> tuple[bytes, bytes, bytes, bytes]:
         return self.base_motion, self.base_signal, self.enh_motion, self.enh_context
 
-    def total_bits(self) -> int:
-        return 8 * sum(len(s) for s in self.substreams())
-
 
 @dataclass
 class ScalableBitstream:
@@ -97,18 +123,11 @@ class ScalableBitstream:
         return self.fusion_weight_q / 255.0
 
     def serialize(self) -> bytes:
-        out = bytearray(_MAGIC)
-        out.append(_VERSION)
-        out += self.width.to_bytes(2, "little")
-        out += self.height.to_bytes(2, "little")
-        out += len(self.frames).to_bytes(4, "little")
-        out += bytes([self.gop, self.quality, self.block, self.search,
-                      self.fusion_weight_q])
-        for rec in self.frames:
-            for sub in rec.substreams():
-                out += len(sub).to_bytes(4, "little")
-                out += sub
-        return bytes(out)
+        return b"".join([
+            _MAGIC, bytes([_VERSION]), self.width.to_bytes(2, "little"),
+            self.height.to_bytes(2, "little"), len(self.frames).to_bytes(4, "little"),
+            bytes([self.gop, self.quality, self.block, self.search, self.fusion_weight_q]),
+            pack([sub for rec in self.frames for sub in rec.substreams()])])
 
     @classmethod
     def deserialize(cls, raw: bytes) -> "ScalableBitstream":
@@ -122,23 +141,9 @@ class ScalableBitstream:
         gop, quality, block, search, fwq = raw[13:18]
         check_frame_size(width, height)
         check_header_fields(quality, gop, block, search)
-        stream = cls(width, height, gop, quality, block, search, fwq)
-        pos = 18
-        for t in range(count):
-            subs = []
-            for _ in range(4):
-                if pos + 4 > len(raw):
-                    raise ContainerError(f"truncated at frame {t}")
-                ln = int.from_bytes(raw[pos : pos + 4], "little")
-                pos += 4
-                if pos + ln > len(raw):
-                    raise ContainerError(f"truncated at frame {t}")
-                subs.append(raw[pos : pos + ln])
-                pos += ln
-            stream.frames.append(FrameRecord(*subs))
-        if pos != len(raw):
-            raise ContainerError(f"{len(raw) - pos} trailing bytes after payload")
-        return stream
+        subs = unpack(raw[18:], 4 * count)
+        return cls(width, height, gop, quality, block, search, fwq,
+                   [FrameRecord(*subs[i : i + 4]) for i in range(0, len(subs), 4)])
 
     def strip_enhancement(self) -> "ScalableBitstream":
         """Base-only copy: the scalability guarantee in container form."""
@@ -147,8 +152,3 @@ class ScalableBitstream:
             self.search, self.fusion_weight_q,
             [FrameRecord(r.base_motion, r.base_signal) for r in self.frames],
         )
-
-    def total_bits(self, layers: str = "base+enh") -> int:
-        if layers == "base":
-            return sum(8 * (len(r.base_motion) + len(r.base_signal)) for r in self.frames)
-        return sum(r.total_bits() for r in self.frames)

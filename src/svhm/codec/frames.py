@@ -57,7 +57,7 @@ class Frame:
 def rgb_to_ycbcr(frame: Frame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full-range BT.601; returns full-resolution Y, Cb, Cr float planes."""
     r, g, b = frame.planes()
-    y = 0.299 * r + 0.587 * g + 0.114 * b
+    y = frame.luma()
     cb = 128.0 - 0.168736 * r - 0.331264 * g + 0.5 * b
     cr = 128.0 + 0.5 * r - 0.418688 * g - 0.081312 * b
     return y, cb, cr

@@ -100,11 +100,3 @@ def compensate(ref: Frame, flow: FlowField) -> Frame:
     return Frame(
         ref.r[src_y, src_x], ref.g[src_y, src_x], ref.b[src_y, src_x], ref.index
     )
-
-
-def predict_motion(flow_buffer: list[FlowField], height: int, width: int,
-                   block: int, search: int) -> FlowField:
-    """Previous decoded flow if available, else the zero field."""
-    if flow_buffer:
-        return flow_buffer[-1]
-    return FlowField.zero(height, width, block, search)

@@ -4,7 +4,7 @@ Base layer: closed-loop hybrid coder (intra refresh every GOP, motion-
 compensated inter frames with decoder-derived alpha/beta mode maps).
 Enhancement layer: coded conditionally on a fused context of the decoded
 base frame and the warped previous enhancement frame, at half the base
-quantization step.  Both sides run one closed loop, :func:`_closed_loop`,
+quantization step (decided in ``coding``).  Both sides run one closed loop, :func:`_closed_loop`,
 which derives every prediction from decoded data only.  The decoder's
 callables read each sub-stream back; the encoder's add the analysis (motion
 search, quantization) and write it: the encoder is the decoder plus analysis.
@@ -18,12 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import coding, transform as tf
-from .container import (ContainerError, FrameRecord, ScalableBitstream,
-                        check_frame_size, check_header_fields)
+from . import coding
+from .container import FrameRecord, ScalableBitstream, check_frame_size, check_header_fields
 from .frames import Frame
 from .modes import combine_predictor, derive_mode_maps
-from .motion import FlowField, compensate, estimate_motion, predict_motion
+from .motion import FlowField, compensate, estimate_motion
 
 
 @dataclass
@@ -94,39 +93,35 @@ def _closed_loop(stream: ScalableBitstream, intra, flow, residual, has_enh):
 
     The callables code or decode one sub-stream each, named by its
     ``FrameRecord`` field: ``intra(t, rec)`` and ``residual(t, rec, field,
-    predictor, alpha, delta, extra)`` return the reconstruction, ``flow(t,
-    rec, field, reference, vbar)`` the flow field.  ``has_enh(rec)`` says
-    whether the frame has an enhancement layer.
+    predictor, alpha, extra)`` return the reconstruction, ``flow(t, rec,
+    field, reference, vbar)`` the flow field.  ``has_enh(rec)`` says whether
+    the frame has an enhancement layer.  A base flow is predicted by the
+    previous one of its GOP, the first by the zero field.
     """
     h, w = stream.height, stream.width
-    block, search = stream.block, stream.search
-    delta_e = tf.quality_step(stream.quality) / 2.0
+    zero = FlowField.zero(h, w, stream.block, stream.search)
     prev_base: Frame | None = None
     prev_enh: Frame | None = None
-    flow_buffer: list[FlowField] = []
     ones = np.ones((h, w))
     for t, rec in enumerate(stream.frames):
         if t % stream.gop == 0:
             base_hat = intra(t, rec)
-            flow_buffer = []
+            v = zero
             prev_enh = None   # random access: enhancement context refreshes too
         else:
-            vbar = predict_motion(flow_buffer, h, w, block, search)
-            v = flow(t, rec, "base_motion", prev_base, vbar)
-            flow_buffer.append(v)
+            v = flow(t, rec, "base_motion", prev_base, v)
             xbar = compensate(prev_base, v)
             maps = derive_mode_maps(prev_base, xbar, v)
             xtilde = combine_predictor(xbar, prev_base, maps)
-            base_hat = residual(t, rec, "base_signal", xtilde, maps.alpha, None, None)
+            base_hat = residual(t, rec, "base_signal", xtilde, maps.alpha, None)
         out = base_hat
         if has_enh(rec):
             ctx = base_hat
             if prev_enh is not None:
-                eflow = flow(t, rec, "enh_motion", prev_enh,
-                             FlowField.zero(h, w, block, search))
+                eflow = flow(t, rec, "enh_motion", prev_enh, zero)
                 ctx = _fuse_context(base_hat, compensate(prev_enh, eflow),
                                     stream.fusion_weight)
-            out = prev_enh = residual(t, rec, "enh_context", ctx, ones, delta_e, base_hat)
+            out = prev_enh = residual(t, rec, "enh_context", ctx, ones, base_hat)
         prev_base = base_hat
         yield out
 
@@ -161,12 +156,15 @@ def encode_sequence(frames: list[Frame], config: CodecConfig) -> tuple[ScalableB
 
     def flow(t, rec, field, ref, vbar):
         v = estimate_motion(frames[t], ref, config.block, config.search)
+        s = coding.FLOW_SUPPORT   # keep v - vbar inside the flow coder's support
+        v = FlowField(np.clip(v.dx, vbar.dx - s, vbar.dx + s),
+                      np.clip(v.dy, vbar.dy - s, vbar.dy + s), v.block, v.search)
         setattr(rec, field, coding.code_flow(v, vbar))
         return v
 
-    def residual(t, rec, field, pred, alpha, delta, extra):
+    def residual(t, rec, field, pred, alpha, extra):
         payload, hat = coding.code_inter_frame(frames[t], pred, alpha, config.quality,
-                                               delta=delta, extra=extra)
+                                               extra=extra)
         setattr(rec, field, payload)
         return hat
 
@@ -196,9 +194,9 @@ def decode_sequence(stream: ScalableBitstream, layers: str = "base+enh") -> tupl
     def flow(t, rec, field, ref, vbar):
         return coding.decode_flow(getattr(rec, field), vbar, stream.block, stream.search)
 
-    def residual(t, rec, field, pred, alpha, delta, extra):
+    def residual(t, rec, field, pred, alpha, extra):
         return coding.decode_inter_frame(getattr(rec, field), pred, alpha, stream.quality,
-                                         delta=delta, extra=extra, index=t)
+                                         extra=extra, index=t)
 
     out: list[Frame] = []
     try:
@@ -206,7 +204,7 @@ def decode_sequence(stream: ScalableBitstream, layers: str = "base+enh") -> tupl
                                                lambda rec: want_enh and rec.enh_context)):
             report.frame_bits.append(_frame_bits(t, stream.frames[t], want_enh))
             out.append(frame)
-    except (ValueError, ContainerError) as exc:
+    except ValueError as exc:
         report.error = f"frame {len(out)}: {exc}"
     report.frame_count = len(out)
     report.wall_seconds = time.perf_counter() - t0

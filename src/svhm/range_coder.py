@@ -7,7 +7,9 @@ below the model probability), making streams byte-identical across runs and
 platforms.  Each direction is one loop over a plane's symbols; the last is a
 16-bit checksum (frequency 1 of a uniform total), so truncated or corrupted
 streams are rejected instead of silently misdecoding.  The decoder stops at
-the first read past the bytes a valid stream could need.
+the first read past the bytes a valid stream could need, and refuses a
+payload whose length is not the one its encoder writes for the decoded
+symbols, so bytes appended to a valid stream are refused too.
 
 Integer CDF rows are cached.  The key is the exact float pair (mu, scale)
 after the scale floor, plus the support half-width, so a row is reused only
@@ -61,19 +63,17 @@ def _carry(out: bytearray) -> None:
         out[i] += 1
 
 
-def _finish(out: bytearray, low: int, rng: int) -> bytes:
-    # Emit the fewest top bytes of some value in [low, low + rng); the
-    # decoder zero-pads, so trailing zero bytes are free.
-    for k in range(9):
+def _flush(low: int, rng: int) -> tuple[int, int]:
+    """(k, v): the fewest top bytes ``k`` of some value ``v`` in [low, low +
+    rng) that end a stream.  The decoder zero-pads, so trailing zero bytes
+    are free.  Both directions use it: the encoder to write the flush, the
+    decoder to check the payload's length."""
+    for k in range(8):
         step = 1 << (64 - 8 * k)
         v = ((low + step - 1) // step) * step
         if v < low + rng:
-            if v > _MASK64:
-                _carry(out)
-                v &= _MASK64
-            out += v.to_bytes(8, "big")[:k]
-            break
-    return bytes(out)
+            return k, v
+    return 8, low
 
 
 def _build_rows(mus: np.ndarray, scales: np.ndarray, half_width: int):
@@ -201,25 +201,27 @@ def range_encode(
             out.append(low >> 56)
             low = (low << 8) & _MASK64
             rng <<= 8
-    payload = _finish(out, low, rng)
-    return Bitstream(payload, 8 * len(payload))
+    k, v = _flush(low, rng)
+    if v > _MASK64:
+        _carry(out)
+        v &= _MASK64
+    out += v.to_bytes(8, "big")[:k]
+    return Bitstream(bytes(out), 8 * len(out))
 
 
 def range_decode(
     bs: Bitstream,
     params: LaplaceParamField,
-    shape: tuple[int, int] | None = None,
     half_width: int = SUPPORT_HALF_WIDTH,
 ) -> np.ndarray:
-    """Inverse of :func:`range_encode`; exact or raises CorruptStreamError."""
-    if shape is None:
-        shape = params.mu.shape
-    if tuple(shape) != params.mu.shape:
-        raise ShapeMismatchError("requested shape does not match parameter field")
-    if bs.bit_length > 8 * len(bs.data):
-        raise CorruptStreamError("bitstream shorter than its declared bit length")
+    """Inverse of :func:`range_encode`; exact or raises CorruptStreamError.
 
-    n = int(np.prod(shape)) if shape else 0
+    Reads ``bs.data`` only.  A payload is refused unless it is exactly as
+    long as the encoder writes it for the decoded symbols: bytes appended to
+    a valid stream need not change one decoded symbol, so the checksum alone
+    cannot see them.
+    """
+    n = params.mu.size
     inv, tabs = [], []
     if n:
         inv_rows, bases, cums = _cdf_tables(params, half_width)
@@ -245,7 +247,7 @@ def range_decode(
     # flush, whose trailing zeros are left out), so its reads end inside the 8
     # zero bytes appended here, and ``data[pos]`` raises IndexError only for a
     # damaged stream or a header that declares more symbols than were coded.
-    data = bytes(bs.data[: (bs.bit_length + 7) // 8]) + bytes(8)
+    data = bytes(bs.data) + bytes(8)
     code, rng, pos = int.from_bytes(data[:8], "big"), _MASK64, 8
     try:
         for i, u in enumerate(inv):
@@ -284,4 +286,9 @@ def range_decode(
         symbols += bases[inv_rows]
     if js[n] != _check_value(symbols):
         raise CorruptStreamError("checksum mismatch: stream truncated or corrupted")
-    return symbols.reshape(shape)
+    # The decoder's code is the 8-byte window at its read position minus the
+    # encoder's low, so the flush length follows from the two.
+    window = int.from_bytes(data[pos - 8 : pos], "big")
+    if len(bs.data) != pos - 8 + _flush((window - code) & _MASK64, rng)[0]:
+        raise CorruptStreamError("payload length differs from what its symbols need")
+    return symbols.reshape(params.mu.shape)

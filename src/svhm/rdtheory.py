@@ -194,19 +194,22 @@ def mutual_information(j: DiscreteJointSource) -> float:
     return mutual_information_from_pmf(j.pmf)
 
 
+def _residual_index(j: DiscreteJointSource) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted alphabet of Z = X - Y (colliding differences merged) and the
+    index into it of each (x, y) pair, shaped like ``j.pmf``."""
+    z_alpha, idx = np.unique(np.round(j.x_alphabet[:, None] - j.y_alphabet[None, :], 9),
+                             return_inverse=True)
+    return z_alpha, idx.reshape(j.pmf.shape)
+
+
 def residual_alphabet(j: DiscreteJointSource) -> np.ndarray:
-    """Sorted alphabet of Z = X - Y (colliding differences merged)."""
-    diffs = np.round(j.x_alphabet[:, None] - j.y_alphabet[None, :], 9)
-    return np.unique(diffs)
+    return _residual_index(j)[0]
 
 
 def residual_distribution(j: DiscreteJointSource) -> tuple[np.ndarray, np.ndarray]:
     """Distribution of Z = X - Y; returns (z_alphabet, probabilities)."""
-    diffs = np.round(j.x_alphabet[:, None] - j.y_alphabet[None, :], 9)
-    z_alpha, inverse = np.unique(diffs, return_inverse=True)
-    probs = np.zeros(z_alpha.size)
-    np.add.at(probs, inverse.reshape(diffs.shape).ravel(), j.pmf.ravel())
-    return z_alpha, probs
+    z_alpha, idx = _residual_index(j)
+    return z_alpha, np.bincount(idx.ravel(), j.pmf.ravel(), z_alpha.size)
 
 
 @dataclass(frozen=True)
@@ -399,20 +402,17 @@ def conditional_rd(
     mixed with weights p(y).  So is the certified gap, which makes the
     p(y)-weighted gap a bound for the mixture; iterations are summed.
     """
-    z_alpha = residual_alphabet(j)
+    z_alpha, idx = _residual_index(j)
     if d.values.shape[0] != z_alpha.size:
         raise DistributionError("distortion matrix row count != residual alphabet size")
     p_y = j.marginal_y()
-    diffs = np.round(j.x_alphabet[:, None] - j.y_alphabet[None, :], 9)
-    idx = np.searchsorted(z_alpha, diffs)
 
     rate = distortion = gap = 0.0
     iterations = 0
     for k in range(p_y.size):
         if p_y[k] <= 0:
             continue
-        pz_given_y = np.zeros(z_alpha.size)
-        np.add.at(pz_given_y, idx[:, k], j.pmf[:, k] / p_y[k])
+        pz_given_y = np.bincount(idx[:, k], j.pmf[:, k] / p_y[k], z_alpha.size)
         pt = blahut_arimoto(pz_given_y, d, slope, tol=tol, max_iters=max_iters)
         rate += p_y[k] * pt.rate
         distortion += p_y[k] * pt.distortion

@@ -29,7 +29,7 @@ from svhm.codec.modes import (
     combine_predictor,
     derive_mode_maps,
 )
-from svhm.codec.motion import FlowField, compensate, estimate_motion, predict_motion
+from svhm.codec.motion import FlowField, compensate, estimate_motion
 from svhm.codec.synthetic import translating_square, textured_scene
 from svhm.codec.y4m import Y4MError, read_y4m, write_y4m
 from svhm.entropy_model import LaplaceParamField
@@ -214,13 +214,6 @@ class TestMotion:
         with pytest.raises(ValueError):
             FlowField(np.zeros((2, 2)), np.zeros((3, 2)), 16, 8)
 
-    def test_predict_motion(self):
-        z = predict_motion([], 33, 50, 16, 8)
-        assert z.dx.shape == (3, 4)
-        assert np.all(z.dx == 0)
-        prev = FlowField(np.ones((3, 4), dtype=int), np.ones((3, 4), dtype=int), 16, 8)
-        assert predict_motion([prev], 33, 50, 16, 8) is prev
-
 
 # ---------------------------------------------------------------------------
 # Mode maps
@@ -271,12 +264,6 @@ class TestCoding:
         # quarter-octave grid: log2(s/0.04)*4 is integral
         assert np.allclose(np.round(np.log2(s / 0.04) * 4) , np.log2(s / 0.04) * 4,
                            atol=1e-9)
-
-    def test_pack_unpack(self):
-        chunks = [b"", b"abc", b"\x00" * 7]
-        assert coding._unpack(coding._pack(chunks), 3) == chunks
-        with pytest.raises(ValueError):
-            coding._unpack(coding._pack(chunks)[:-2], 3)
 
     def test_intra_roundtrip_and_error_bound(self):
         rng = np.random.default_rng(11)
@@ -347,7 +334,7 @@ class TestCoding:
             (*coding.code_inter_frame(x, black, ones, 0),
              lambda p: coding.decode_inter_frame(p, black, ones, 0)),
         ]:
-            counts = coding._read(coding._unpack(payload, 2)[0],
+            counts = coding._read(container.unpack(payload, 2)[0],
                                   coding._count_params(9), coding.COUNT_SUPPORT)
             assert counts.tolist() == [0, 1, 64] * 3
             dec = decode(payload)
@@ -360,7 +347,7 @@ class TestCoding:
         counts = np.zeros(48, dtype=np.int64)
         counts[5] = -1
         empty = np.zeros(0, dtype=np.int64)
-        payload = coding._pack([
+        payload = container.pack([
             range_encode(counts, coding._count_params(48),
                          half_width=coding.COUNT_SUPPORT).data,
             range_encode(empty, LaplaceParamField(empty, empty + 1.0),
@@ -403,10 +390,9 @@ class TestCoding:
         base = random_frame(rng, 32, 32)
         x = random_frame(rng, 32, 32, index=1)
         ones = np.ones((32, 32))
-        payload, recon = coding.code_inter_frame(
-            x, ctx, ones, 2, delta=2.0, extra=base)
-        dec = coding.decode_inter_frame(
-            payload, ctx, ones, 2, delta=2.0, extra=base, index=1)
+        # q3's base step is 4.0, so the enhancement layer codes at 2.0
+        payload, recon = coding.code_inter_frame(x, ctx, ones, 3, extra=base)
+        dec = coding.decode_inter_frame(payload, ctx, ones, 3, extra=base, index=1)
         assert dec.allclose(recon)
         assert recon.allclose(x, tol=tf.pixel_error_bound(2.0) + 1e-9)
 
@@ -493,16 +479,21 @@ class TestContainer:
         s = self.make_stream()
         base = s.strip_enhancement()
         assert all(r.enh_motion == b"" and r.enh_context == b"" for r in base.frames)
-        assert base.total_bits("base") == s.total_bits("base")
-        assert base.total_bits() == s.total_bits("base")
+        assert [r.substreams()[:2] for r in base.frames] == \
+            [r.substreams()[:2] for r in s.frames]
         # original is untouched
         assert s.frames[1].enh_context == b"enh1"
 
-    def test_total_bits(self):
-        s = self.make_stream()
-        assert s.total_bits("base") == 8 * len(b"intra-bytes" + b"mv1" + b"sig1")
-        assert s.total_bits() == 8 * sum(
-            len(b) for r in s.frames for b in r.substreams())
+    def test_pack_unpack(self):
+        chunks = [b"", b"abc", b"\x00" * 7]
+        raw = container.pack(chunks)
+        assert container.unpack(raw, 3) == chunks
+        with pytest.raises(ContainerError, match="truncated"):
+            container.unpack(raw[:-2], 3)
+        with pytest.raises(ContainerError, match="truncated"):
+            container.unpack(raw[:2], 1)
+        with pytest.raises(ContainerError, match="trailing bytes"):
+            container.unpack(raw + b"\x00", 3)
 
 
 # ---------------------------------------------------------------------------
@@ -565,10 +556,11 @@ class TestPipeline:
 
     def test_report_consistent_with_stream(self, encoded):
         stream, report = encoded
-        assert report.total_bits() == stream.total_bits()
-        assert report.total_bits("base") == stream.total_bits("base")
+        lengths = [[len(sub) for sub in r.substreams()] for r in stream.frames]
+        assert report.total_bits() == 8 * sum(map(sum, lengths))
+        assert report.total_bits("base") == 8 * sum(n[0] + n[1] for n in lengths)
         assert report.bpp() == pytest.approx(
-            stream.total_bits() / (3 * 64 * 64 * 10))
+            8 * sum(map(sum, lengths)) / (3 * 64 * 64 * 10))
 
     def test_bpp_monotone_in_quality(self, square_clip):
         bpps = []
@@ -629,6 +621,28 @@ class TestPipeline:
             assert report.error is None and len(dec) == 7
             for a, b in zip(frames, dec):
                 assert all(np.array_equal(p, q) for p, q in zip(a.planes(), b.planes()))
+
+    @pytest.mark.parametrize("field", ["base_motion", "enh_motion"])
+    def test_junk_after_motion_substream_refused(self, field):
+        stream, _ = encode_sequence(textured_scene(4, 64, 64, seed=1),
+                                    CodecConfig(quality=1, gop=4))
+        setattr(stream.frames[1], field, getattr(stream.frames[1], field) + b"junk")
+        dec, report = decode_sequence(stream)
+        assert len(dec) == 1
+        assert report.error == "frame 1: payload length differs from what its symbols need"
+
+    def test_flow_residual_beyond_coder_support(self):
+        # Shifts of 0, +30 and -30 px: with search 64 the second base flow
+        # is about -60 against a prediction of about +30, a residual past
+        # the flow coder's support, which the encoder clamps.
+        world = np.random.default_rng(3).uniform(0, 255, (3, 64, 124))
+        clip = [Frame(*world[:, :, x : x + 64], index=t)
+                for t, x in enumerate((30, 60, 0))]
+        stream, _ = encode_sequence(
+            clip, CodecConfig(quality=2, block=16, search=64, enhancement=False))
+        dec, report = decode_sequence(
+            ScalableBitstream.deserialize(stream.serialize()))
+        assert report.error is None and len(dec) == 3
 
     def test_base_only_encode(self, square_clip):
         stream, report = encode_sequence(

@@ -238,11 +238,19 @@ class TestRangeCoder:
         with pytest.raises(CorruptStreamError):
             range_decode(shortened, field)
 
+    def test_appended_bytes_refused(self):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            symbols, field = random_case(rng, (5, 7))
+            data = range_encode(symbols, field).data
+            for junk in (b"\x00", b"\xff", b"junk"):
+                with pytest.raises(CorruptStreamError):
+                    range_decode(Bitstream(data + junk, 8 * len(data)), field)
+
     def test_shape_mismatch(self):
         field = LaplaceParamField(np.zeros((2, 2)), np.ones((2, 2)))
-        bs = range_encode(np.zeros((2, 2), dtype=np.int64), field)
         with pytest.raises(ShapeMismatchError):
-            range_decode(bs, field, shape=(4, 1))
+            range_encode(np.zeros((4, 1), dtype=np.int64), field)
 
     def test_rate_close_to_estimate(self):
         rng = np.random.default_rng(5)
