@@ -55,37 +55,32 @@ def _atomic_write_bytes(path: str, data: bytes) -> None:
     _atomic_write(path, lambda tmp: pathlib.Path(tmp).write_bytes(data))
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    _atomic_write_bytes(path, text.encode("utf-8"))
-
-
 def _emit(args, text: str) -> None:
     """Write ``text`` to ``--out`` if given, else print it."""
     if args.output:
-        _atomic_write_text(args.output, text)
+        _atomic_write_bytes(args.output, text.encode())
     else:
         print(text)
 
 
-def _load_frames(args):
-    if not os.path.exists(args.input):
-        raise CommandError(f"input file not found: {args.input}")
+def _load_frames(path: str, width: int | None, height: int | None):
+    """Frames of a .y4m file, or of raw YUV420 of the given geometry."""
     try:
-        if args.input.endswith(".y4m"):
-            frames, _ = read_y4m(args.input)
+        if path.endswith(".y4m"):
+            frames, _ = read_y4m(path)
         else:
-            if args.width is None or args.height is None:
+            if width is None or height is None:
                 raise CommandError("raw YUV input needs --width and --height")
-            frames = read_yuv420(args.input, args.width, args.height)
+            frames = read_yuv420(path, width, height)
     except Y4MError as exc:
         raise CommandError(str(exc)) from exc
     if not frames:
-        raise CommandError(f"{args.input}: no frames")
+        raise CommandError(f"{path}: no frames")
     return frames
 
 
 def cmd_encode(args) -> int:
-    frames = _load_frames(args)
+    frames = _load_frames(args.input, args.width, args.height)
     try:
         config = CodecConfig(quality=args.q, gop=args.gop, block=args.block,
                              search=args.search, fusion_weight=args.fusion_weight,
@@ -98,15 +93,13 @@ def cmd_encode(args) -> int:
         raise CommandError(str(exc)) from exc
     _atomic_write_bytes(args.output, stream.serialize())
     if args.report:
-        _atomic_write_text(args.report, report.to_json())
+        _atomic_write_bytes(args.report, report.to_json().encode())
     print(f"encoded {report.frame_count} frames -> {args.output} "
           f"({report.bpp():.4f} bpp, base {report.bpp('base'):.4f} bpp)")
     return EXIT_OK
 
 
 def cmd_decode(args) -> int:
-    if not os.path.exists(args.input):
-        raise CommandError(f"input file not found: {args.input}")
     with open(args.input, "rb") as f:
         raw = f.read()
     try:
@@ -121,7 +114,7 @@ def cmd_decode(args) -> int:
     except Y4MError as exc:
         raise CommandError(str(exc)) from exc
     if args.report:
-        _atomic_write_text(args.report, report.to_json())
+        _atomic_write_bytes(args.report, report.to_json().encode())
     if report.error is not None:
         print(f"partial decode: {len(frames)} frames ({report.error})",
               file=sys.stderr)
@@ -131,18 +124,19 @@ def cmd_decode(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    ref = _load_frames(argparse.Namespace(input=args.reference, width=args.width,
-                                          height=args.height))
-    test = _load_frames(argparse.Namespace(input=args.input, width=args.width,
-                                           height=args.height))
+    ref = _load_frames(args.reference, args.width, args.height)
+    test = _load_frames(args.input, args.width, args.height)
     if len(ref) != len(test):
         raise CommandError(f"frame count mismatch: {len(ref)} vs {len(test)}")
     rows = []
-    for a, b in zip(ref, test):
-        entry = {"frame": a.index, "psnr": evalkit.psnr_rgb(a, b)}
-        if args.msssim:
-            entry["msssim"] = evalkit.msssim_rgb(a, b)
-        rows.append(entry)
+    try:   # frames of different sizes, or too small for MS-SSIM
+        for a, b in zip(ref, test):
+            entry = {"frame": a.index, "psnr": evalkit.psnr_rgb(a, b)}
+            if args.msssim:
+                entry["msssim"] = evalkit.msssim_rgb(a, b)
+            rows.append(entry)
+    except ValueError as exc:
+        raise CommandError(str(exc)) from exc
     finite = [r["psnr"] for r in rows if r["psnr"] != evalkit.PSNR_INF]
     out = {
         "frames": [{k: (None if v == evalkit.PSNR_INF else v) for k, v in r.items()}

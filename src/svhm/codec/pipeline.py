@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..range_coder import CorruptStreamError
 from . import coding
 from .container import FrameRecord, ScalableBitstream, check_frame_size, check_header_fields
 from .frames import Frame
@@ -179,30 +180,43 @@ def decode_sequence(stream: ScalableBitstream, layers: str = "base+enh") -> tupl
     """Decode the base layer, optionally refined by the enhancement layer.
 
     A corrupt frame stops decoding; everything decoded so far is returned
-    with the failure recorded in the report's ``error`` field.
+    with the failure recorded in the report's ``error`` field.  A frame that
+    carries bytes in a sub-stream its type does not read is corrupt too; a
+    base-layer decode leaves the enhancement sub-streams unread by choice.
     """
     if layers not in ("base", "base+enh"):
         raise ValueError(f"unknown layer selection {layers!r}")
     t0 = time.perf_counter()
     report = RateReport(stream.width, stream.height, len(stream.frames))
     want_enh = layers == "base+enh"
+    checked = ("base_motion", "base_signal", "enh_motion", "enh_context")[:4 if want_enh else 2]
+    read: set[str] = set()
+
+    def sub(rec, field):
+        read.add(field)
+        return getattr(rec, field)
 
     def intra(t, rec):
-        return coding.decode_intra_frame(rec.base_signal, stream.quality,
+        return coding.decode_intra_frame(sub(rec, "base_signal"), stream.quality,
                                          stream.height, stream.width, t)
 
     def flow(t, rec, field, ref, vbar):
-        return coding.decode_flow(getattr(rec, field), vbar, stream.block, stream.search)
+        return coding.decode_flow(sub(rec, field), vbar, stream.block, stream.search)
 
     def residual(t, rec, field, pred, alpha, extra):
-        return coding.decode_inter_frame(getattr(rec, field), pred, alpha, stream.quality,
+        return coding.decode_inter_frame(sub(rec, field), pred, alpha, stream.quality,
                                          extra=extra, index=t)
 
     out: list[Frame] = []
     try:
         for t, frame in enumerate(_closed_loop(stream, intra, flow, residual,
                                                lambda rec: want_enh and rec.enh_context)):
-            report.frame_bits.append(_frame_bits(t, stream.frames[t], want_enh))
+            rec = stream.frames[t]
+            for name in checked:
+                if getattr(rec, name) and name not in read:
+                    raise CorruptStreamError(f"{name} sub-stream is never read")
+            read.clear()
+            report.frame_bits.append(_frame_bits(t, rec, want_enh))
             out.append(frame)
     except ValueError as exc:
         report.error = f"frame {len(out)}: {exc}"

@@ -1,9 +1,20 @@
-"""Y4M (C420, 8-bit) and raw planar YUV420 readers/writers."""
+"""Y4M (C420, 8-bit) and raw planar YUV420 readers/writers.
+
+Both formats carry the same frames: planar 8-bit Y, then Cb and Cr at half
+width and half height.  One parser, :func:`_read_frames`, reads them; a Y4M
+frame follows a ``FRAME`` line, a raw one follows the previous frame.
+
+One geometry rule, :func:`_check_geometry`, holds for both readers and the
+writer, and it is checked before any buffer is sized: the container's frame
+size rule (each side 1..65535, at most ``container.MAX_PIXELS`` pixels, the
+cap ``svhm encode`` applies anyway) plus even sides, which 4:2:0 needs.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
+from .container import ContainerError, check_frame_size
 from .frames import Frame, downsample2, rgb_to_ycbcr, upsample2, ycbcr_to_rgb
 
 _C420_TAGS = {"420", "420jpeg", "420mpeg2", "420paldv"}
@@ -13,109 +24,74 @@ class Y4MError(ValueError):
     pass
 
 
-def _yuv_to_frame(y: np.ndarray, cb: np.ndarray, cr: np.ndarray, index: int) -> Frame:
-    return ycbcr_to_rgb(
-        y.astype(np.float64),
-        upsample2(cb.astype(np.float64)),
-        upsample2(cr.astype(np.float64)),
-        index,
-    )
+def _check_geometry(width: int, height: int) -> None:
+    try:
+        check_frame_size(width, height)
+    except ContainerError as exc:
+        raise Y4MError(str(exc)) from None
+    if width % 2 or height % 2:
+        raise Y4MError(f"{width}x{height} frames: 4:2:0 needs even dimensions")
 
 
-def _frame_to_yuv(frame: Frame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    y, cb, cr = rgb_to_ycbcr(frame)
-    to8 = lambda p: np.clip(np.round(p), 0, 255).astype(np.uint8)
-    return to8(y), to8(downsample2(cb)), to8(downsample2(cr))
+def _read_frames(f, path, width: int, height: int, marked: bool) -> list[Frame]:
+    """Planar 4:2:0 frames until end of file, each after a ``FRAME`` line
+    if ``marked``; a partial last frame is refused."""
+    ysize = width * height
+    fsize = ysize + ysize // 2
+    frames = []
+    while True:
+        if marked:
+            line = f.readline()
+            if not line:
+                return frames
+            if not line.startswith(b"FRAME"):
+                raise Y4MError(f"{path}: malformed frame marker")
+        buf = f.read(fsize)
+        if not buf and not marked:
+            return frames
+        if len(buf) != fsize:
+            raise Y4MError(f"{path}: truncated frame {len(frames)}")
+        planes = np.frombuffer(buf, np.uint8).astype(np.float64)
+        cb, cr = (upsample2(p) for p in planes[ysize:].reshape(2, height // 2, width // 2))
+        frames.append(ycbcr_to_rgb(planes[:ysize].reshape(height, width), cb, cr, len(frames)))
 
 
 def read_y4m(path) -> tuple[list[Frame], str]:
     """Parse a C420 8-bit Y4M file; returns (frames, frame-rate tag)."""
     with open(path, "rb") as f:
-        header = bytearray()
-        while True:
-            c = f.read(1)
-            if not c:
-                raise Y4MError(f"{path}: truncated Y4M header")
-            if c == b"\n":
-                break
-            header += c
+        header = f.readline()
+        if not header.endswith(b"\n"):
+            raise Y4MError(f"{path}: truncated Y4M header")
         fields = header.decode("ascii", "replace").split()
         if not fields or fields[0] != "YUV4MPEG2":
             raise Y4MError(f"{path}: not a YUV4MPEG2 file")
-        width = height = None
-        rate = "25:1"
-        for tok in fields[1:]:
-            if tok.startswith("W"):
-                width = int(tok[1:])
-            elif tok.startswith("H"):
-                height = int(tok[1:])
-            elif tok.startswith("F"):
-                rate = tok[1:]
-            elif tok.startswith("C"):
-                if tok[1:] not in _C420_TAGS:
-                    raise Y4MError(f"{path}: unsupported colorspace {tok}")
-        if width is None or height is None:
-            raise Y4MError(f"{path}: missing geometry in Y4M header")
-        if width % 2 or height % 2:
-            raise Y4MError(f"{path}: 4:2:0 needs even dimensions")
+        tags = {tok[0]: tok[1:] for tok in fields[1:]}
+        if tags.get("C", "420") not in _C420_TAGS:
+            raise Y4MError(f"{path}: unsupported colorspace C{tags['C']}")
+        try:
+            width, height = int(tags["W"]), int(tags["H"])
+        except (KeyError, ValueError):
+            raise Y4MError(f"{path}: missing or malformed W/H in Y4M header") from None
+        _check_geometry(width, height)
+        return _read_frames(f, path, width, height, marked=True), tags.get("F", "25:1")
 
-        frames = []
-        ysize = width * height
-        csize = ysize // 4
-        while True:
-            line = f.readline()
-            if not line:
-                break
-            if not line.startswith(b"FRAME"):
-                raise Y4MError(f"{path}: malformed frame marker")
-            buf = f.read(ysize + 2 * csize)
-            if len(buf) != ysize + 2 * csize:
-                raise Y4MError(f"{path}: truncated frame {len(frames)}")
-            y = np.frombuffer(buf, dtype=np.uint8, count=ysize).reshape(height, width)
-            cb = np.frombuffer(buf, dtype=np.uint8, count=csize, offset=ysize).reshape(
-                height // 2, width // 2
-            )
-            cr = np.frombuffer(
-                buf, dtype=np.uint8, count=csize, offset=ysize + csize
-            ).reshape(height // 2, width // 2)
-            frames.append(_yuv_to_frame(y, cb, cr, len(frames)))
-        return frames, rate
+
+def read_yuv420(path, width: int, height: int) -> list[Frame]:
+    """Raw planar YUV420 with explicit geometry."""
+    _check_geometry(width, height)
+    with open(path, "rb") as f:
+        return _read_frames(f, path, width, height, marked=False)
 
 
 def write_y4m(path, frames: list[Frame], rate: str = "25:1") -> None:
     if not frames:
         raise Y4MError("cannot write an empty Y4M file")
     w, h = frames[0].width, frames[0].height
-    if w % 2 or h % 2:
-        raise Y4MError("4:2:0 needs even dimensions")
+    _check_geometry(w, h)
     with open(path, "wb") as f:
         f.write(f"YUV4MPEG2 W{w} H{h} F{rate} Ip A1:1 C420jpeg\n".encode("ascii"))
         for fr in frames:
-            y, cb, cr = _frame_to_yuv(fr)
+            y, cb, cr = rgb_to_ycbcr(fr)
             f.write(b"FRAME\n")
-            f.write(y.tobytes())
-            f.write(cb.tobytes())
-            f.write(cr.tobytes())
-
-
-def read_yuv420(path, width: int, height: int) -> list[Frame]:
-    """Raw planar YUV420 with explicit geometry."""
-    if width % 2 or height % 2:
-        raise Y4MError("4:2:0 needs even dimensions")
-    ysize = width * height
-    csize = ysize // 4
-    fsize = ysize + 2 * csize
-    frames = []
-    with open(path, "rb") as f:
-        data = f.read()
-    if len(data) % fsize:
-        raise Y4MError(f"{path}: size {len(data)} is not a multiple of frame size {fsize}")
-    for t in range(len(data) // fsize):
-        off = t * fsize
-        y = np.frombuffer(data, np.uint8, ysize, off).reshape(height, width)
-        cb = np.frombuffer(data, np.uint8, csize, off + ysize).reshape(height // 2, width // 2)
-        cr = np.frombuffer(data, np.uint8, csize, off + ysize + csize).reshape(
-            height // 2, width // 2
-        )
-        frames.append(_yuv_to_frame(y, cb, cr, t))
-    return frames
+            for p in (y, downsample2(cb), downsample2(cr)):
+                f.write(np.clip(np.round(p), 0, 255).astype(np.uint8).tobytes())

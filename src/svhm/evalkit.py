@@ -289,23 +289,26 @@ class BreakEvenReport:
         return "\n".join(lines)
 
 
-def table_pipeline(rows: list[BDSummaryRow], reference: str = "vvenc",
-                   machine_codec: str = "proposed-base",
-                   machine_metric: str = "mAP",
-                   human_codecs: tuple[str, ...] = ("proposed-enh",
-                                                    "proposed-base+enh")) -> BreakEvenReport:
+# The layered codec's summary-CSV labels: the base layer serves the machine
+# task, measured in mAP; the human-viewing regimes are every other metric.
+_MACHINE_CODEC = "proposed-base"
+_MACHINE_METRIC = "mAP"
+_HUMAN_CODECS = ("proposed-enh", "proposed-base+enh")
+
+
+def table_pipeline(rows: list[BDSummaryRow], reference: str = "vvenc") -> BreakEvenReport:
     """Frame-count-weighted dataset averages -> bit factors -> break-even
     cells, one per (human-quality metric, layered-codec regime)."""
     avg = _weighted_averages(rows)
     try:
-        a = relative_efficiency(avg[(machine_codec, machine_metric)],
-                                avg[(reference, machine_metric)])
+        a = relative_efficiency(avg[(_MACHINE_CODEC, _MACHINE_METRIC)],
+                                avg[(reference, _MACHINE_METRIC)])
     except KeyError as exc:
         raise ValueError(f"missing machine-task BD-Rate for {exc}") from exc
     report = BreakEvenReport(machine_factor=a)
-    human_metrics = sorted({m for (_, m) in avg if m != machine_metric})
+    human_metrics = sorted({m for (_, m) in avg if m != _MACHINE_METRIC})
     for metric in human_metrics:
-        for codec in human_codecs:
+        for codec in _HUMAN_CODECS:
             if (codec, metric) not in avg or (reference, metric) not in avg:
                 continue
             b = relative_efficiency(avg[(codec, metric)], avg[(reference, metric)])

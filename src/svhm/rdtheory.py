@@ -13,7 +13,6 @@ zero-rate end.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -436,24 +435,23 @@ def verify_rd_inequality(
     d: DistortionMatrix,
     slopes,
     tol: float = 1e-6,
-    ba_tol: float = DEFAULT_TOL,
     ba_max_iters: int = DEFAULT_MAX_ITERS,
 ) -> list[SlopeComparison]:
     """Compare conditional vs. residual Lagrangian costs at matched slopes.
 
     The comparison is done on the convex envelope, cost = D + slope * R: the
     conditional minimization runs over a superset of channels, so its cost can
-    never exceed the residual one.  ``ba_tol``/``ba_max_iters`` tune the inner
-    solver; slopes near a support-shrinking transition converge slowly and may
-    need more than the default iteration budget.
+    never exceed the residual one.  The inner solver runs to ``DEFAULT_TOL``
+    within ``ba_max_iters`` map evaluations; slopes near a support-shrinking
+    transition converge slowly and may need more than the default budget.
     """
     slopes = list(slopes)
     if not slopes:
         raise ValueError("at least one slope is required")
     out = []
     for s in slopes:
-        pc = conditional_rd(j, d, s, tol=ba_tol, max_iters=ba_max_iters)
-        pr = residual_rd(j, d, s, tol=ba_tol, max_iters=ba_max_iters)
+        pc = conditional_rd(j, d, s, max_iters=ba_max_iters)
+        pr = residual_rd(j, d, s, max_iters=ba_max_iters)
         margin = lagrangian_cost(pr) - lagrangian_cost(pc)
         out.append(SlopeComparison(s, pc, pr, margin >= -tol, margin))
     return out
@@ -494,14 +492,3 @@ def random_joint(
     pmf.flat[np.argmax(pmf)] += residue
     return DiscreteJointSource(x_alpha, y_alpha, pmf)
 
-
-# ---------------------------------------------------------------------------
-# CSV output
-# ---------------------------------------------------------------------------
-
-def write_rd_csv(path, points) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["slope", "rate_bits", "distortion"])
-        for pt in points:
-            w.writerow([pt.slope, pt.rate, pt.distortion])

@@ -7,13 +7,17 @@ no-partial-output guarantee can be checked directly.
 import csv
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svhm.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from svhm.codec import CodecConfig, ContainerError, ScalableBitstream, encode_sequence
-from svhm.codec.synthetic import translating_square
+from svhm.codec.synthetic import textured_scene, translating_square
 from svhm.codec.y4m import read_y4m, write_y4m
 from svhm.evalkit import RDCurveTable, write_rd_csv
 
@@ -168,6 +172,92 @@ class TestMetrics:
         write_y4m(short, translating_square(frames=3, size=64, seed=0))
         assert main(["metrics", "--ref", clip_y4m,
                      "--in", str(short)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("size, flags", [(32, []), (64, ["--msssim"])],
+                             ids=["geometry_mismatch", "too_small_for_msssim"])
+    def test_unmeasurable_pair_refused(self, clip_y4m, tmp_path, capsys, size, flags):
+        other = tmp_path / "other.y4m"
+        write_y4m(other, translating_square(frames=8, size=size, seed=0))
+        out = tmp_path / "m.json"
+        assert main(["metrics", "--ref", clip_y4m, "--in", str(other),
+                     "--out", str(out)] + flags) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+
+# Header-driven failures that once escaped main as MemoryError, ValueError,
+# ZeroDivisionError and a reshape ValueError.
+_HOSTILE_INPUTS = {
+    "huge.y4m": (b"YUV4MPEG2 W1000000 H1000000 F25:1 C420jpeg\nFRAME\n" + bytes(96), []),
+    "non_integer_width.y4m": (b"YUV4MPEG2 Wabc H10 F25:1 C420jpeg\nFRAME\n" + bytes(96), []),
+    "zero_size.yuv": (bytes(96), ["--width", "0", "--height", "0"]),
+    "negative_size.yuv": (bytes(96), ["--width", "-2", "--height", "-2"]),
+}
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("name", sorted(_HOSTILE_INPUTS))
+    def test_refused_with_exit_2(self, tmp_path, capsys, name):
+        data, extra = _HOSTILE_INPUTS[name]
+        src = tmp_path / name
+        src.write_bytes(data)
+        out = tmp_path / "out.svhm"
+        assert main(["encode", "--in", str(src), "--out", str(out)] + extra) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [src.name]
+
+
+@pytest.fixture(scope="module")
+def small_y4m(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "clean.y4m"
+    write_y4m(path, textured_scene(frames=2, height=16, width=16, seed=0))
+    return str(path)
+
+
+_TOKEN = st.one_of(
+    st.sampled_from([b"W16", b"H16", b"W17", b"H0", b"W-2", b"Wabc", b"H", b"W4096",
+                     b"H2162", b"W2", b"H2", b"C444", b"C420mpeg2", b"F30:1", b"X"]),
+    st.builds(lambda k, v: k + str(v).encode(), st.sampled_from([b"W", b"H"]),
+              st.integers(-3, 70_000)),
+    st.binary(max_size=5),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edits=st.lists(st.tuples(st.sampled_from(["set", "drop", "add"]),
+                                st.integers(0, 7), _TOKEN), max_size=3),
+       pokes=st.lists(st.tuples(st.integers(0, 10_000), st.integers(0, 255)), max_size=3),
+       cut=st.none() | st.integers(0, 10_000), msssim=st.booleans())
+def test_mutated_y4m_input_fails_cleanly(small_y4m, edits, pokes, cut, msssim):
+    # Whatever the header tokens and bytes say, encode and metrics either
+    # succeed or end in exit 2 without output; nothing escapes main.
+    header, body = Path(small_y4m).read_bytes().split(b"\n", 1)
+    tokens = header.split()
+    for op, i, tok in edits:
+        i %= len(tokens) + 1
+        if op == "add":
+            tokens.insert(i, tok)
+        elif i < len(tokens):
+            if op == "set":
+                tokens[i] = tok
+            else:
+                del tokens[i]
+    data = bytearray(b" ".join(tokens) + b"\n" + body)
+    for pos, value in pokes:
+        data[pos % len(data)] = value
+    if cut is not None:
+        del data[cut % (len(data) + 1):]
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "in.y4m", Path(tmp) / "out"
+        src.write_bytes(data)
+        for argv in (["encode", "--in", str(src), "--gop", "2"],
+                     ["metrics", "--ref", small_y4m, "--in", str(src)] + ["--msssim"] * msssim):
+            code = main(argv + ["--out", str(out)])
+            assert code in (EXIT_OK, EXIT_USAGE)
+            assert out.exists() == (code == EXIT_OK)
+            out.unlink(missing_ok=True)
 
 
 class TestBDRateCommand:

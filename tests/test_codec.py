@@ -31,7 +31,7 @@ from svhm.codec.modes import (
 )
 from svhm.codec.motion import FlowField, compensate, estimate_motion
 from svhm.codec.synthetic import translating_square, textured_scene
-from svhm.codec.y4m import Y4MError, read_y4m, write_y4m
+from svhm.codec.y4m import Y4MError, read_y4m, read_yuv420, write_y4m
 from svhm.entropy_model import LaplaceParamField
 from svhm.range_coder import CorruptStreamError, range_encode
 
@@ -631,6 +631,24 @@ class TestPipeline:
         assert len(dec) == 1
         assert report.error == "frame 1: payload length differs from what its symbols need"
 
+    @pytest.mark.parametrize("enhancement, t, field", [
+        (True, 0, "base_motion"),    # intra frames code no flow
+        (True, 2, "base_motion"),
+        (True, 0, "enh_motion"),     # nor does a GOP's first enhancement frame
+        (True, 2, "enh_motion"),
+        (False, 1, "enh_motion"),    # a base-only stream has no enhancement
+    ])
+    def test_bytes_in_unread_substream_refused(self, enhancement, t, field):
+        stream, _ = encode_sequence(textured_scene(3, 32, 32, seed=1),
+                                    CodecConfig(quality=1, gop=2, enhancement=enhancement))
+        assert getattr(stream.frames[t], field) == b""
+        setattr(stream.frames[t], field, b"junk")
+        dec, report = decode_sequence(ScalableBitstream.deserialize(stream.serialize()))
+        assert len(dec) == t
+        assert report.error == f"frame {t}: {field} sub-stream is never read"
+        dec, report = decode_sequence(stream, "base")
+        assert (report.error is None) == (field == "enh_motion")
+
     def test_flow_residual_beyond_coder_support(self):
         # Shifts of 0, +30 and -30 px: with search 64 the second base flow
         # is about -60 against a prediction of about +30, a residual past
@@ -770,6 +788,45 @@ class TestY4M:
         path.write_bytes(data[:-100])
         with pytest.raises(Y4MError):
             read_y4m(path)
+
+    def test_raw_yuv_reads_like_y4m(self, tmp_path):
+        # The same planar bytes as raw YUV420 and inside a Y4M file.
+        frames = [np.random.default_rng(t).integers(0, 256, 48 * 64 * 3 // 2, dtype=np.uint8)
+                  .tobytes() for t in range(3)]
+        raw, y4m = tmp_path / "clip.yuv", tmp_path / "clip.y4m"
+        raw.write_bytes(b"".join(frames))
+        y4m.write_bytes(b"YUV4MPEG2 W64 H48 F30:1 C420jpeg\n"
+                        + b"".join(b"FRAME\n" + f for f in frames))
+        from_raw = read_yuv420(raw, 64, 48)
+        from_y4m, rate = read_y4m(y4m)
+        assert rate == "30:1" and len(from_raw) == len(from_y4m) == 3
+        for a, b in zip(from_raw, from_y4m):
+            assert a.index == b.index and a.allclose(b)
+        raw.write_bytes(b"".join(frames)[:-1])
+        with pytest.raises(Y4MError, match="truncated frame 2"):
+            read_yuv420(raw, 64, 48)
+
+    @pytest.mark.parametrize("header, message", [
+        (b"YUV4MPEG2 W64 H48", "truncated Y4M header"),
+        (b"YUV4MPEG2 H48\n", "missing or malformed W/H"),
+        (b"YUV4MPEG2 W6.4 H48\n", "missing or malformed W/H"),
+        (b"YUV4MPEG2 W64 H48 C444\n", "unsupported colorspace C444"),
+        (b"YUV4MPEG2 W65 H48\n", "even dimensions"),
+        (b"YUV4MPEG2 W0 H48\n", "each side must be in 1..65535"),
+        (b"YUV4MPEG2 W4096 H2162\n", "pixel cap"),
+    ])
+    def test_bad_header_refused(self, tmp_path, header, message):
+        path = tmp_path / "bad.y4m"
+        path.write_bytes(header)
+        with pytest.raises(Y4MError, match=message):
+            read_y4m(path)
+
+    @pytest.mark.parametrize("width, height", [(0, 0), (-2, -2), (63, 48), (65536, 2)])
+    def test_raw_geometry_refused(self, tmp_path, width, height):
+        path = tmp_path / "clip.yuv"
+        path.write_bytes(bytes(64 * 48 * 3 // 2))
+        with pytest.raises(Y4MError):
+            read_yuv420(path, width, height)
 
 
 # ---------------------------------------------------------------------------

@@ -369,20 +369,6 @@ class TestDPI:
 
 
 # ---------------------------------------------------------------------------
-# CSV output
-# ---------------------------------------------------------------------------
-
-class TestIO:
-    def test_rd_csv(self, tmp_path):
-        pts = [rd.RDPoint(1.0, 0.5, 0.1), rd.RDPoint(0.5, 1.0, 0.9)]
-        path = tmp_path / "rd.csv"
-        rd.write_rd_csv(path, pts)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "slope,rate_bits,distortion"
-        assert len(lines) == 3
-
-
-# ---------------------------------------------------------------------------
 # Property tests
 # ---------------------------------------------------------------------------
 
