@@ -150,8 +150,18 @@ def cmd_metrics(args) -> int:
     return EXIT_OK
 
 
+def _read_csv(read, path: str):
+    """``read(path)``; a malformed CSV is a usage error that names the file."""
+    try:
+        return read(path)
+    except KeyError as exc:
+        raise CommandError(f"{path}: missing column {exc}") from exc
+    except ValueError as exc:
+        raise CommandError(f"{path}: {exc}") from exc
+
+
 def cmd_bdrate(args) -> int:
-    curves = {(c.label, c.metric): c for c in evalkit.read_rd_csv(args.curves)}
+    curves = {(c.label, c.metric): c for c in _read_csv(evalkit.read_rd_csv, args.curves)}
     try:
         anchor = curves[(args.anchor, args.metric)]
         test = curves[(args.test, args.metric)]
@@ -169,11 +179,11 @@ def cmd_bdrate(args) -> int:
 
 def cmd_breakeven(args) -> int:
     if args.summary:
-        rows = evalkit.read_bd_summary_csv(args.summary)
+        rows = _read_csv(evalkit.read_bd_summary_csv, args.summary)
         try:
             report = evalkit.table_pipeline(rows, reference=args.reference)
         except ValueError as exc:
-            raise CommandError(str(exc)) from exc
+            raise CommandError(f"{args.summary}: {exc}") from exc
         text = report.to_json() if args.json else report.to_text()
     else:
         if args.a is None or args.b is None:
@@ -190,6 +200,8 @@ def cmd_breakeven(args) -> int:
 def cmd_rdlab(args) -> int:
     """Randomized sweep verifying that conditional coding never needs more
     rate than residual coding, at matched Lagrangian slope."""
+    if args.slopes < 1:
+        raise CommandError(f"--slopes must be at least 1, got {args.slopes}")
     rng = np.random.default_rng(args.seed)
     slopes = [float(s) for s in np.geomspace(0.01, 10.0, args.slopes)]
     worst = []

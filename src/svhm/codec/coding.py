@@ -55,21 +55,21 @@ def palette_scale(b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Plane models and reconstruction
+# Frame models and reconstruction
 # ---------------------------------------------------------------------------
 
-def _intra_models(q: int, height: int, width: int):
-    """Plane models of an intra frame: zero predictor, fixed per-band Laplace
-    scales, every block coded.  One model serves all three planes."""
+def _intra_model(q: int, height: int, width: int):
+    """Frame model of an intra frame: zero predictor, fixed per-band Laplace
+    scales, every block coded."""
     delta = tf.quality_step(q)
     nb = (-(-height // tf.BLOCK), -(-width // tf.BLOCK))
     u, v = np.ogrid[:tf.BLOCK, :tf.BLOCK]
     mu = np.zeros((tf.BLOCK, tf.BLOCK))
     mu[0, 0] = _INTRA_DC_LEVEL * tf.BLOCK / delta
     scale = palette_scale(400.0 / (delta * (1.0 + u + v) ** 1.5))
-    kept = (nb[0] * nb[1],) + mu.shape
+    kept = (3, nb[0] * nb[1]) + mu.shape
     params = LaplaceParamField(np.broadcast_to(mu, kept), np.broadcast_to(scale, kept))
-    return [(np.zeros((height, width)), 0.0, delta, params, np.ones(nb, dtype=bool))] * 3
+    return np.zeros((3, height, width)), 0.0, delta, params, np.ones(nb, dtype=bool)
 
 
 def _inter_scales(pred: np.ndarray, alpha_block: np.ndarray, delta: float,
@@ -86,7 +86,7 @@ def _inter_scales(pred: np.ndarray, alpha_block: np.ndarray, delta: float,
     if extra is None:
         act = alpha_block * (0.3 + 16.0 * alpha_block) / delta
         return np.broadcast_to(palette_scale(act)[:, :, None, None],
-                               alpha_block.shape + (tf.BLOCK, tf.BLOCK))
+                               (3,) + alpha_block.shape + (tf.BLOCK, tf.BLOCK))
     gap = np.abs(tf.forward(tf.blockify(extra)) - tf.forward(tf.blockify(pred))) / delta
     return palette_scale(0.2 + 0.7 * gap)
 
@@ -95,10 +95,10 @@ def _reconstruct(symbols: np.ndarray, predictor: np.ndarray, offset,
                  delta: float, keep: np.ndarray) -> np.ndarray:
     """Predictor plus the dequantized residual of the kept blocks plus the
     offset, clipped to the pixel range."""
-    h, w = predictor.shape
-    coeffs = np.zeros(keep.shape + (tf.BLOCK, tf.BLOCK))
-    coeffs[keep] = symbols.astype(np.float64) * delta
-    recon = predictor + tf.unblockify(tf.inverse(coeffs), h, w)
+    h, w = predictor.shape[-2:]
+    resid = np.zeros((3,) + keep.shape + (tf.BLOCK, tf.BLOCK))
+    resid[:, keep] = tf.inverse(symbols.astype(np.float64) * delta)
+    recon = predictor + tf.unblockify(resid, h, w)
     return np.clip(recon + offset, 0.0, 255.0)
 
 
@@ -106,13 +106,13 @@ def _reconstruct(symbols: np.ndarray, predictor: np.ndarray, offset,
 # Frame coding
 # ---------------------------------------------------------------------------
 #
-# A frame is three planes, each coded against a plane model: (predictor,
-# offset, delta, Laplace field of the kept blocks, keep mask).  The decoder
-# derives the same models, and both sides rebuild a plane with _reconstruct.
-# The kept blocks of the three planes form one list, R then G then B.  Its
-# payload is two range-coded sub-streams: every block's count, then the first
-# ``count`` coefficients of every block in zigzag order under the plane
-# models' parameters.  A frame without kept blocks has an empty payload.
+# A frame is coded against a frame model: (predictor (3, H, W), offset,
+# delta, Laplace field of the kept blocks (3, kept, 8, 8), keep mask (nby,
+# nbx) shared by the three planes).  The decoder derives the same model, and
+# both sides rebuild the frame with _reconstruct.  The kept blocks are coded
+# R, then G, then B.  The payload is two range-coded sub-streams: every
+# block's count, then the first ``count`` coefficients of every block in
+# zigzag order.  A frame without kept blocks has an empty payload.
 
 def _scan(counts: np.ndarray):
     """Index of the first ``counts[i]`` zigzag positions of each block i,
@@ -121,10 +121,9 @@ def _scan(counts: np.ndarray):
     return blocks, _ZZ_ROW[k], _ZZ_COL[k]
 
 
-def _coded_params(models, scan) -> LaplaceParamField:
-    fields = [params for _, _, _, params, _ in models]
-    return LaplaceParamField(np.concatenate([f.mu for f in fields])[scan],
-                             np.concatenate([f.scale for f in fields])[scan])
+def _coded_params(params: LaplaceParamField, scan) -> LaplaceParamField:
+    block = (-1, tf.BLOCK, tf.BLOCK)
+    return LaplaceParamField(params.mu.reshape(block)[scan], params.scale.reshape(block)[scan])
 
 
 def _count_params(n: int) -> LaplaceParamField:
@@ -135,19 +134,12 @@ def _read(raw: bytes, params: LaplaceParamField, half_width: int) -> np.ndarray:
     return range_decode(Bitstream(raw, 8 * len(raw)), params, half_width=half_width)
 
 
-def _frame(planes, models, index: int) -> Frame:
-    return Frame(*(_reconstruct(symbols, pred, offset, delta, keep)
-                   for symbols, (pred, offset, delta, _, keep) in zip(planes, models)),
-                 index=index)
-
-
-def _code_planes(targets, models, index: int):
-    models = list(models)
-    planes = [quantize(tf.forward(tf.blockify(target) - tf.blockify(pred)) / delta,
-                       max_symbol=CODEC_SUPPORT)[keep]
-              for target, (pred, _, delta, _, keep) in zip(targets, models)]
-    frame = _frame(planes, models, index)
-    symbols = np.concatenate(planes)
+def _code_frame(target: np.ndarray, model, index: int):
+    pred, offset, delta, params, keep = model
+    kept = quantize(tf.forward((tf.blockify(target) - tf.blockify(pred))[:, keep]) / delta,
+                    max_symbol=CODEC_SUPPORT)
+    frame = Frame(_reconstruct(kept, pred, offset, delta, keep), index)
+    symbols = kept.reshape(-1, tf.BLOCK, tf.BLOCK)
     if not len(symbols):
         return b"", frame
     # count = 1 + zigzag index of the last nonzero coefficient, 0 if none
@@ -155,34 +147,33 @@ def _code_planes(targets, models, index: int):
     scan = _scan(counts)
     return pack([
         range_encode(counts, _count_params(counts.size), half_width=COUNT_SUPPORT).data,
-        range_encode(symbols[scan], _coded_params(models, scan), half_width=CODEC_SUPPORT).data,
+        range_encode(symbols[scan], _coded_params(params, scan), half_width=CODEC_SUPPORT).data,
     ]), frame
 
 
-def _decode_planes(payload: bytes, models, index: int) -> Frame:
-    models = list(models)
-    sizes = [int(keep.sum()) for *_, keep in models]
-    symbols = np.zeros((0, tf.BLOCK, tf.BLOCK), dtype=np.int64)
-    if sum(sizes):
+def _decode_frame(payload: bytes, model, index: int) -> Frame:
+    pred, offset, delta, params, keep = model
+    symbols = np.zeros((3 * int(keep.sum()), tf.BLOCK, tf.BLOCK), dtype=np.int64)
+    if len(symbols):
         count_raw, coeff_raw = unpack(payload, 2)
-        counts = _read(count_raw, _count_params(sum(sizes)), COUNT_SUPPORT)
+        counts = _read(count_raw, _count_params(len(symbols)), COUNT_SUPPORT)
         if counts.min() < 0:
             raise CorruptStreamError("negative coefficient count")
         scan = _scan(counts)
-        symbols = np.zeros((counts.size, tf.BLOCK, tf.BLOCK), dtype=np.int64)
-        symbols[scan] = _read(coeff_raw, _coded_params(models, scan), CODEC_SUPPORT)
+        symbols[scan] = _read(coeff_raw, _coded_params(params, scan), CODEC_SUPPORT)
     elif payload:
         raise CorruptStreamError("payload for a frame without kept blocks")
-    return _frame(np.split(symbols, np.cumsum(sizes)[:-1]), models, index)
+    return Frame(_reconstruct(symbols.reshape(3, -1, tf.BLOCK, tf.BLOCK),
+                              pred, offset, delta, keep), index)
 
 
 def code_intra_frame(x: Frame, q: int):
     """Intra: zero predictor, alpha = 1, fixed per-band Laplace scales."""
-    return _code_planes(x.planes(), _intra_models(q, x.height, x.width), x.index)
+    return _code_frame(x.rgb, _intra_model(q, x.height, x.width), x.index)
 
 
 def decode_intra_frame(payload: bytes, q: int, height: int, width: int, index: int) -> Frame:
-    return _decode_planes(payload, _intra_models(q, height, width), index)
+    return _decode_frame(payload, _intra_model(q, height, width), index)
 
 
 def _alpha_blocks(alpha: np.ndarray):
@@ -192,20 +183,18 @@ def _alpha_blocks(alpha: np.ndarray):
     return means, skip
 
 
-def _inter_models(xtilde: Frame, alpha: np.ndarray, q: int, extra: Frame | None):
-    """Plane models of an inter frame: predictor alpha * xtilde, offset
+def _inter_model(xtilde: Frame, alpha: np.ndarray, q: int, extra: Frame | None):
+    """Frame model of an inter frame: predictor alpha * xtilde, offset
     (1 - alpha) * xtilde, zero-mean Laplace scales from ``_inter_scales``.
     The enhancement layer (``extra`` given) codes at half the base step and
     with alpha = 1, so it never skips a block."""
     delta = tf.quality_step(q) / (1.0 if extra is None else 2.0)
     abar, skip = _alpha_blocks(alpha)
     keep = ~skip
-    for i, pred_plane in enumerate(xtilde.planes()):
-        pred = alpha * pred_plane
-        scale = _inter_scales(pred, abar, delta,
-                              extra.planes()[i] if extra is not None else None)[keep]
-        params = LaplaceParamField(np.zeros_like(scale), scale)
-        yield pred, (1.0 - alpha) * pred_plane, delta, params, keep
+    pred = alpha * xtilde.rgb
+    scale = _inter_scales(pred, abar, delta, None if extra is None else extra.rgb)[:, keep]
+    params = LaplaceParamField(np.zeros_like(scale), scale)
+    return pred, (1.0 - alpha) * xtilde.rgb, delta, params, keep
 
 
 def code_inter_frame(x: Frame, xtilde: Frame, alpha: np.ndarray, q: int,
@@ -218,13 +207,12 @@ def code_inter_frame(x: Frame, xtilde: Frame, alpha: np.ndarray, q: int,
     """
     if alpha.shape != (x.height, x.width):
         raise ValueError("alpha map shape mismatch")
-    return _code_planes([alpha * plane for plane in x.planes()],
-                        _inter_models(xtilde, alpha, q, extra), x.index)
+    return _code_frame(alpha * x.rgb, _inter_model(xtilde, alpha, q, extra), x.index)
 
 
 def decode_inter_frame(payload: bytes, xtilde: Frame, alpha: np.ndarray, q: int,
                        extra: Frame | None = None, index: int = 0) -> Frame:
-    return _decode_planes(payload, _inter_models(xtilde, alpha, q, extra), index)
+    return _decode_frame(payload, _inter_model(xtilde, alpha, q, extra), index)
 
 
 # ---------------------------------------------------------------------------

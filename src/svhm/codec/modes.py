@@ -58,8 +58,4 @@ def combine_predictor(xbar: Frame, prev: Frame, m: ModeMaps) -> Frame:
     """Element-wise blend: beta * warped + (1 - beta) * previous frame."""
     if m.beta.shape != (xbar.height, xbar.width):
         raise ValueError("mode map shape does not match frames")
-    planes = [
-        m.beta * pw + (1.0 - m.beta) * pp
-        for pw, pp in zip(xbar.planes(), prev.planes())
-    ]
-    return Frame(*planes, index=xbar.index)
+    return Frame(m.beta * xbar.rgb + (1.0 - m.beta) * prev.rgb, xbar.index)

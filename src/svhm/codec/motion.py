@@ -97,6 +97,5 @@ def compensate(ref: Frame, flow: FlowField) -> Frame:
     dx_map = np.repeat(np.repeat(flow.dx, flow.block, 0), flow.block, 1)[:h, :w]
     src_y = np.clip(np.arange(h)[:, None] + dy_map, 0, h - 1)
     src_x = np.clip(np.arange(w)[None, :] + dx_map, 0, w - 1)
-    return Frame(
-        ref.r[src_y, src_x], ref.g[src_y, src_x], ref.b[src_y, src_x], ref.index
-    )
+    # np.take stays C-contiguous; ref.rgb[:, src_y, src_x] would interleave the planes.
+    return Frame(np.take(ref.rgb.reshape(3, -1), src_y * w + src_x, axis=1), ref.index)

@@ -84,9 +84,7 @@ class RateReport:
 
 def _fuse_context(base: Frame, warped_enh: Frame, w: float) -> Frame:
     """Enhancement-layer conditioning context."""
-    planes = [w * b + (1.0 - w) * e
-              for b, e in zip(base.planes(), warped_enh.planes())]
-    return Frame(*planes, index=base.index)
+    return Frame(w * base.rgb + (1.0 - w) * warped_enh.rgb, base.index)
 
 
 def _closed_loop(stream: ScalableBitstream, intra, flow, residual, has_enh):

@@ -18,15 +18,11 @@ def translating_square(frames: int = 30, size: int = 64, seed: int = 0) -> list[
     sq = 16
     out = []
     for t in range(frames):
-        r = bg.copy()
-        g = bg.copy()
-        b = bg.copy()
+        rgb = np.stack([bg] * 3)
         y0 = (8 + 2 * t) % (size - sq)
         x0 = (4 + 2 * t) % (size - sq)
-        r[y0 : y0 + sq, x0 : x0 + sq] = 220.0
-        g[y0 : y0 + sq, x0 : x0 + sq] = 180.0
-        b[y0 : y0 + sq, x0 : x0 + sq] = 90.0
-        out.append(Frame(r, g, b, t))
+        rgb[:, y0 : y0 + sq, x0 : x0 + sq] = np.reshape((220.0, 180.0, 90.0), (3, 1, 1))
+        out.append(Frame(rgb, t))
     return out
 
 
@@ -48,17 +44,15 @@ def textured_scene(frames: int = 30, height: int = 144, width: int = 176,
         noise = np.apply_along_axis(np.convolve, ax, noise, k, mode="same")
     tex = 25.0 * noise / max(np.std(noise), 1e-9)
 
-    world = [np.clip(base + tex + off, 0.0, 255.0) for off in (20.0, 0.0, -20.0)]
+    world = np.clip(base + tex + np.reshape((20.0, 0.0, -20.0), (3, 1, 1)), 0.0, 255.0)
     out = []
     for t in range(frames):
         oy = pad + int(round(3 * np.sin(2 * np.pi * t / frames) * 4)) % 8
         ox = pad - 16 + (t % 16)
-        planes = [p[oy : oy + height, ox : ox + width].copy() for p in world]
+        rgb = world[:, oy : oy + height, ox : ox + width].copy()
         # moving object
         cy = 40 + (2 * t) % (height - 80)
         cx = 30 + (3 * t) % (width - 60)
-        planes[0][cy : cy + 24, cx : cx + 24] = 230.0
-        planes[1][cy : cy + 24, cx : cx + 24] = 60.0
-        planes[2][cy : cy + 24, cx : cx + 24] = 40.0
-        out.append(Frame(*planes, index=t))
+        rgb[:, cy : cy + 24, cx : cx + 24] = np.reshape((230.0, 60.0, 40.0), (3, 1, 1))
+        out.append(Frame(rgb, t))
     return out

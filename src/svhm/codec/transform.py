@@ -26,25 +26,25 @@ DCT = _dct_matrix()
 
 
 def pad_to_blocks(plane: np.ndarray) -> np.ndarray:
-    """Edge-replicate pad so both dimensions are multiples of BLOCK."""
-    h, w = plane.shape
+    """Edge-replicate pad so the last two dimensions are multiples of BLOCK."""
+    h, w = plane.shape[-2:]
     ph = (-h) % BLOCK
     pw = (-w) % BLOCK
     if ph or pw:
-        plane = np.pad(plane, ((0, ph), (0, pw)), mode="edge")
+        plane = np.pad(plane, [(0, 0)] * (plane.ndim - 2) + [(0, ph), (0, pw)], mode="edge")
     return plane
 
 
 def blockify(plane: np.ndarray) -> np.ndarray:
     p = pad_to_blocks(plane)
-    h, w = p.shape
-    return p.reshape(h // BLOCK, BLOCK, w // BLOCK, BLOCK).transpose(0, 2, 1, 3)
+    *lead, h, w = p.shape
+    return p.reshape(*lead, h // BLOCK, BLOCK, w // BLOCK, BLOCK).swapaxes(-3, -2)
 
 
 def unblockify(blocks: np.ndarray, height: int, width: int) -> np.ndarray:
-    nby, nbx = blocks.shape[:2]
-    p = blocks.transpose(0, 2, 1, 3).reshape(nby * BLOCK, nbx * BLOCK)
-    return p[:height, :width]
+    *lead, nby, nbx, _, _ = blocks.shape
+    p = blocks.swapaxes(-3, -2).reshape(*lead, nby * BLOCK, nbx * BLOCK)
+    return p[..., :height, :width]
 
 
 def forward(blocks: np.ndarray) -> np.ndarray:

@@ -43,7 +43,7 @@ def psnr_rgb(a: Frame, b: Frame) -> float:
     """Peak signal-to-noise ratio with MSE pooled over all three channels."""
     if (a.height, a.width) != (b.height, b.width):
         raise ValueError("frames differ in size")
-    mse = np.mean([(pa - pb) ** 2 for pa, pb in zip(a.planes(), b.planes())])
+    mse = np.mean((a.rgb - b.rgb) ** 2)
     if mse == 0.0:
         return PSNR_INF
     return 10.0 * math.log10(255.0 ** 2 / mse)
@@ -98,7 +98,7 @@ def msssim_rgb(a: Frame, b: Frame) -> float:
             f"{len(_MSSSIM_WEIGHTS)}-scale MS-SSIM (needs >= 176x144)")
     win = _gaussian_window()
     return float(np.mean([
-        _msssim_channel(pa, pb, win) for pa, pb in zip(a.planes(), b.planes())
+        _msssim_channel(pa, pb, win) for pa, pb in zip(a.rgb, b.rgb)
     ]))
 
 
@@ -118,6 +118,8 @@ class RDCurveTable:
     points: list[tuple[float, float]]
 
     def __post_init__(self):
+        if not all(0 < b < math.inf and math.isfinite(q) for b, q in self.points):
+            raise CurveError(f"{self.label}: bpp must be positive and finite, quality finite")
         # exact duplicates are harmless; collapse them before validation
         self.points = sorted(set(self.points), key=lambda p: p[1])
         if len(self.points) < 4:
@@ -129,8 +131,6 @@ class RDCurveTable:
         if any(q2 <= q1 for q1, q2 in zip(quals, quals[1:])):
             raise CurveError(f"{self.label}: quality must be strictly increasing "
                              "(non-monotone RD curve)")
-        if any(b <= 0 for b in bpps):
-            raise CurveError(f"{self.label}: bpp must be positive")
 
     def quality_range(self) -> tuple[float, float]:
         return self.points[0][1], self.points[-1][1]
@@ -145,7 +145,7 @@ def read_rd_csv(path) -> list[RDCurveTable]:
     """CSV schema: label,metric,bpp,quality — grouped into curves."""
     groups: dict[tuple[str, str], list[tuple[float, float]]] = {}
     with open(path, newline="") as f:
-        for row in csv.DictReader(f):
+        for row in csv.DictReader(f, restval=""):
             key = (row["label"], row["metric"])
             groups.setdefault(key, []).append((float(row["bpp"]), float(row["quality"])))
     return [RDCurveTable(lbl, met, sorted(pts, key=lambda p: p[1]))
@@ -212,8 +212,8 @@ class BreakEvenResult:
 def break_even(a: float, b: float) -> BreakEvenResult:
     """Solve (1 - phi) * a + phi * b = 1 for the machine-bits factor a and
     human-bits factor b (both relative to the reference codec)."""
-    if a <= 0 or b <= 0:
-        raise ValueError("bit factors must be positive")
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise ValueError("bit factors must be positive and finite")
     if a == 1.0 and b == 1.0:
         return BreakEvenResult(1.0, "degenerate")
     if a <= 1.0 and b <= 1.0:
@@ -237,7 +237,9 @@ def read_bd_summary_csv(path) -> list[BDSummaryRow]:
     """CSV schema: dataset,frames,codec,metric,bd_rate."""
     rows = []
     with open(path, newline="") as f:
-        for row in csv.DictReader(f):
+        for row in csv.DictReader(f, restval=""):
+            if int(row["frames"]) < 1:
+                raise ValueError(f"frames must be positive, got {row['frames']}")
             rows.append(BDSummaryRow(row["dataset"], int(row["frames"]),
                                      row["codec"], row["metric"],
                                      float(row["bd_rate"])))

@@ -259,8 +259,7 @@ def test_criterion_5_codec_invariants(clips):
     # (c) SKIP economy: a truly static clip spends < 1% of the intra-frame
     # signal bits on each inter frame of the base layer
     first = clips["square"][0]
-    static = [Frame(first.r.copy(), first.g.copy(), first.b.copy(), t)
-              for t in range(30)]
+    static = [Frame(first.rgb.copy(), t) for t in range(30)]
     _, rep = encode_sequence(static, CodecConfig(quality=2, gop=32,
                                                  enhancement=False))
     intra_bits = rep.frame_bits[0]["base_signal"]
@@ -281,30 +280,30 @@ def test_criterion_5_codec_invariants(clips):
 def test_criterion_6_mode_equations_exact():
     rng = np.random.default_rng(21)
     h = w = 32
-    mk = lambda idx: Frame(rng.uniform(40, 215, (h, w)), rng.uniform(40, 215, (h, w)),
-                           rng.uniform(40, 215, (h, w)), idx)
+    mk = lambda idx: Frame(np.stack([rng.uniform(40, 215, (h, w)), rng.uniform(40, 215, (h, w)),
+                                     rng.uniform(40, 215, (h, w))]), idx)
     xbar, prev, x, xt = mk(0), mk(0), mk(1), mk(0)
     ones = np.ones((h, w))
 
     # beta = 1: predictor is exactly the warped frame
     b1 = all(np.array_equal(a, b) for a, b in zip(
-        combine_predictor(xbar, prev, ModeMaps(ones, ones)).planes(), xbar.planes()))
+        combine_predictor(xbar, prev, ModeMaps(ones, ones)).rgb, xbar.rgb))
     # beta = 0: predictor is exactly the previous decoded frame
     b0 = all(np.array_equal(a, b) for a, b in zip(
-        combine_predictor(xbar, prev, ModeMaps(ones, 0.0 * ones)).planes(),
-        prev.planes()))
+        combine_predictor(xbar, prev, ModeMaps(ones, 0.0 * ones)).rgb,
+        prev.rgb))
 
     # alpha = 0: every block skips and the reconstruction copies the
     # predictor bit-exactly (0 * x + 1 * xtilde)
     _, recon0 = coding.code_inter_frame(x, xt, 0.0 * ones, 2)
-    a0 = all(np.array_equal(a, b) for a, b in zip(recon0.planes(), xt.planes()))
+    a0 = all(np.array_equal(a, b) for a, b in zip(recon0.rgb, xt.rgb))
 
     # alpha = 1: reconstruction equals the decoded signal xcheck, recomputed
     # here directly from the transform/quantizer definitions
     delta = tf.quality_step(2)
     payload, recon1 = coding.code_inter_frame(x, xt, ones, 2)
     a1 = True
-    for plane, pred, got in zip(x.planes(), xt.planes(), recon1.planes()):
+    for plane, pred, got in zip(x.rgb, xt.rgb, recon1.rgb):
         symbols = quantize(tf.forward(tf.blockify(plane) - tf.blockify(pred)) / delta)
         xcheck = pred + tf.unblockify(tf.inverse(symbols * delta), h, w)
         a1 = a1 and np.array_equal(got, np.clip(xcheck, 0.0, 255.0))
@@ -380,21 +379,21 @@ def test_criterion_8_bd_rate_sanity():
 
 def test_criterion_9_metrics():
     h, w = 144, 176
-    a = Frame(np.full((h, w), 100.0), np.full((h, w), 100.0), np.full((h, w), 100.0))
-    b = Frame(np.full((h, w), 116.0), np.full((h, w), 116.0), np.full((h, w), 116.0))
+    a = Frame(np.stack([np.full((h, w), 100.0), np.full((h, w), 100.0), np.full((h, w), 100.0)]))
+    b = Frame(np.stack([np.full((h, w), 116.0), np.full((h, w), 116.0), np.full((h, w), 116.0)]))
     psnr = ek.psnr_rgb(a, b)
     psnr_expected = 10.0 * math.log10(255.0 ** 2 / 256.0)
     psnr_ok = abs(psnr - psnr_expected) <= 1e-3
 
     rng = np.random.default_rng(2718)
     base = rng.uniform(20, 235, (h, w))
-    ref = Frame(base, base.copy(), base.copy())
-    degraded = Frame(*[np.clip(p + rng.normal(0, 12.0, (h, w)), 0, 255)
-                       for p in ref.planes()])
+    ref = Frame(np.stack([base, base.copy(), base.copy()]))
+    degraded = Frame(np.stack([np.clip(p + rng.normal(0, 12.0, (h, w)), 0, 255)
+                               for p in ref.rgb]))
     self_ok = abs(ek.msssim_rgb(ref, ref) - 1.0) <= 1e-9
     got = ek.msssim_rgb(ref, degraded)
     want = float(np.mean([oracle_msssim_plane(pa, pb) for pa, pb in
-                          zip(ref.planes(), degraded.planes())]))
+                          zip(ref.rgb, degraded.rgb)]))
     oracle_ok = abs(got - want) <= 1e-4
 
     ok = psnr_ok and self_ok and oracle_ok

@@ -292,6 +292,11 @@ class TestBreakEvenCommand:
     def test_missing_arguments(self, capsys):
         assert main(["breakeven", "--a", "0.8"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("a", ["nan", "inf"])
+    def test_non_finite_factor_refused(self, capsys, a):
+        assert main(["breakeven", "--a", a, "--b", "1.2"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: bit factors must be positive and finite\n"
+
     def test_summary_table(self, tmp_path, capsys):
         path = tmp_path / "summary.csv"
         rows = [
@@ -310,7 +315,53 @@ class TestBreakEvenCommand:
         assert data["machine_factor"] == pytest.approx(0.85)
 
 
+_CURVES_CSV = "label,metric,bpp,quality\n" + "".join(
+    f"{label},PSNR,{bpp * scale},{quality}\n"
+    for label, scale in (("anchor", 1.0), ("test", 0.5))
+    for bpp, quality in ((0.1, 30.0), (0.2, 33.0), (0.4, 36.0), (0.8, 39.0)))
+_SUMMARY_CSV = """dataset,frames,codec,metric,bd_rate
+clipA,30,vvenc,mAP,-40.0
+clipA,30,proposed-base,mAP,-55.0
+clipA,30,vvenc,PSNR,10.0
+clipA,30,proposed-enh,PSNR,30.0
+"""
+
+
+@pytest.mark.parametrize("command,old,new", [
+    ("bdrate", "bpp,quality", "bpp,q"),                       # missing column
+    ("bdrate", "label,metric", "label,measure"),              # missing column
+    ("bdrate", "anchor,PSNR,0.2,", "anchor,PSNR,abc,"),       # not a number
+    ("bdrate", "anchor,PSNR,0.2,33.0", "anchor,PSNR,0.2,nan"),
+    ("bdrate", "anchor,PSNR,0.4,36.0\nanchor,PSNR,0.8,39.0\n", ""),   # 2 points
+    ("bdrate", "anchor,PSNR,0.8,39.0", "anchor,PSNR"),       # short row
+    ("summary", "metric,bd_rate", "metric,bd"),               # missing column
+    ("summary", "PSNR,30.0", "PSNR,nan"),
+    ("summary", "clipA,30,vvenc,mAP", "clipA,x,vvenc,mAP"),
+    ("summary", "clipA,30,vvenc,mAP", "clipA,0,vvenc,mAP"),
+], ids=["bdrate-no-quality", "bdrate-no-metric", "bdrate-abc", "bdrate-nan",
+        "bdrate-2-points", "bdrate-short-row", "summary-no-bd_rate", "summary-nan",
+        "summary-frames-x", "summary-frames-0"])
+def test_malformed_csv_is_a_usage_error(tmp_path, capsys, command, old, new):
+    text = _CURVES_CSV if command == "bdrate" else _SUMMARY_CSV
+    assert old in text
+    path, out = tmp_path / "in.csv", tmp_path / "out.json"
+    path.write_text(text.replace(old, new))
+    argv = (["bdrate", "--curves", str(path), "--anchor", "anchor", "--test", "test"]
+            if command == "bdrate" else ["breakeven", "--summary", str(path)])
+    assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 class TestRDLab:
+    @pytest.mark.parametrize("slopes", ["0", "-1"])
+    def test_no_slopes_is_a_usage_error(self, tmp_path, capsys, slopes):
+        out = tmp_path / "lab.json"
+        assert main(["rdlab", "--slopes", slopes, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: --slopes")
+        assert not out.exists()
+
     def test_small_sweep_all_hold(self, tmp_path):
         out = str(tmp_path / "lab.json")
         assert main(["rdlab", "--joints", "3", "--slopes", "4",

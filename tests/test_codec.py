@@ -37,8 +37,8 @@ from svhm.range_coder import CorruptStreamError, range_encode
 
 
 def random_frame(rng, h=48, w=56, index=0):
-    return Frame(rng.uniform(0, 255, (h, w)), rng.uniform(0, 255, (h, w)),
-                 rng.uniform(0, 255, (h, w)), index)
+    return Frame(np.stack([rng.uniform(0, 255, (h, w)), rng.uniform(0, 255, (h, w)),
+                           rng.uniform(0, 255, (h, w))]), index)
 
 
 # ---------------------------------------------------------------------------
@@ -87,18 +87,13 @@ class TestTransform:
 class TestFrames:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            Frame(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 5)))
+            Frame(np.zeros((2, 4, 4)))
         with pytest.raises(ValueError):
-            Frame(np.zeros(4), np.zeros(4), np.zeros(4))
+            Frame(np.zeros((3, 4)))
 
     def test_luma_weights(self):
-        f = Frame(np.full((2, 2), 100.0), np.full((2, 2), 50.0), np.full((2, 2), 20.0))
+        f = Frame(np.stack([np.full((2, 2), 100.0), np.full((2, 2), 50.0), np.full((2, 2), 20.0)]))
         assert np.allclose(f.luma(), 0.299 * 100 + 0.587 * 50 + 0.114 * 20)
-
-    def test_clamped(self):
-        f = Frame(np.array([[-5.0, 300.0]]), np.zeros((1, 2)), np.zeros((1, 2)))
-        c = f.clamped()
-        assert np.array_equal(c.r, [[0.0, 255.0]])
 
     def test_ycbcr_roundtrip(self):
         rng = np.random.default_rng(4)
@@ -166,8 +161,8 @@ class TestMotion:
                 return np.full((h, w), float(rng.integers(0, 256)))
             return rng.integers(0, 3, (h, w)).astype(np.float64)
 
-        cur = Frame(plane(), plane(), plane())
-        ref = Frame(plane(), plane(), plane())
+        cur = Frame(np.stack([plane(), plane(), plane()]))
+        ref = Frame(np.stack([plane(), plane(), plane()]))
         nblocks = -(-h // block) * -(-w // block)
         stack = motion._STACK_ELEMENTS if chunk is None else chunk * nblocks
         with patch.object(motion, "_STACK_ELEMENTS", stack):
@@ -187,16 +182,16 @@ class TestMotion:
     def test_pure_translation_recovered(self):
         rng = np.random.default_rng(5)
         big = rng.uniform(0, 255, (80, 80))
-        ref = Frame(big[8:72, 8:72], big[8:72, 8:72], big[8:72, 8:72], 0)
-        cur = Frame(big[5:69, 12:76], big[5:69, 12:76], big[5:69, 12:76], 1)
+        ref = Frame(np.stack([big[8:72, 8:72], big[8:72, 8:72], big[8:72, 8:72]]), 0)
+        cur = Frame(np.stack([big[5:69, 12:76], big[5:69, 12:76], big[5:69, 12:76]]), 1)
         flow = estimate_motion(cur, ref, block=16, search=8)
         # interior blocks must find the exact (-3, +4) shift
         assert np.all(flow.dy[1:-1, 1:-1] == -3)
         assert np.all(flow.dx[1:-1, 1:-1] == 4)
 
     def test_flat_image_prefers_zero(self):
-        f = Frame(np.full((32, 32), 80.0), np.full((32, 32), 80.0),
-                  np.full((32, 32), 80.0))
+        f = Frame(np.stack([np.full((32, 32), 80.0), np.full((32, 32), 80.0),
+                            np.full((32, 32), 80.0)]))
         flow = estimate_motion(f, f)
         assert np.all(flow.dx == 0) and np.all(flow.dy == 0)
 
@@ -206,7 +201,7 @@ class TestMotion:
         flow = FlowField(np.full((2, 2), 3), np.full((2, 2), -2), 16, 8)
         out = compensate(ref, flow)
         # interior pixels: out[y, x] = ref[y - 2, x + 3]
-        assert np.array_equal(out.r[4:28, 4:28], ref.r[2:26, 7:31])
+        assert np.array_equal(out.rgb[0][4:28, 4:28], ref.rgb[0][2:26, 7:31])
 
     def test_flowfield_validation(self):
         with pytest.raises(ValueError):
@@ -281,15 +276,15 @@ class TestCoding:
         errs = []
         for q in range(4):
             _, recon = coding.code_intra_frame(x, q)
-            errs.append(np.mean((recon.r - x.r) ** 2))
+            errs.append(np.mean((recon.rgb[0] - x.rgb[0]) ** 2))
         assert errs[0] > errs[1] > errs[2] > errs[3]
 
     def test_inter_roundtrip(self):
         rng = np.random.default_rng(13)
         xt = random_frame(rng, 32, 32)
-        x = Frame(np.clip(xt.r + rng.normal(0, 4, (32, 32)), 0, 255),
-                  np.clip(xt.g + rng.normal(0, 4, (32, 32)), 0, 255),
-                  np.clip(xt.b + rng.normal(0, 4, (32, 32)), 0, 255), 1)
+        x = Frame(np.stack([np.clip(xt.rgb[0] + rng.normal(0, 4, (32, 32)), 0, 255),
+                            np.clip(xt.rgb[1] + rng.normal(0, 4, (32, 32)), 0, 255),
+                            np.clip(xt.rgb[2] + rng.normal(0, 4, (32, 32)), 0, 255)]), 1)
         alpha = np.clip(rng.uniform(0, 1, (32, 32)), ALPHA_FLOOR, 1.0)
         payload, recon = coding.code_inter_frame(x, xt, alpha, 2)
         dec = coding.decode_inter_frame(payload, xt, alpha, 2, index=1)
@@ -303,7 +298,7 @@ class TestCoding:
         payload, recon = coding.code_inter_frame(x, xt, alpha, 2)
         # every block skipped: reconstruction is the predictor (up to the
         # float rounding of alpha*p + (1 - alpha)*p)
-        assert recon.allclose(xt.clamped(), tol=1e-9)
+        assert recon.allclose(Frame(np.clip(xt.rgb, 0.0, 255.0)), tol=1e-9)
         dec = coding.decode_inter_frame(payload, xt, alpha, 2, index=1)
         assert dec.allclose(recon)
 
@@ -315,7 +310,7 @@ class TestCoding:
         payload, recon = coding.code_inter_frame(x, xt, zero, 2)
         assert payload == b""
         dec = coding.decode_inter_frame(payload, xt, zero, 2, index=1)
-        assert all(np.array_equal(p, q) for p, q in zip(dec.planes(), recon.planes()))
+        assert all(np.array_equal(p, q) for p, q in zip(dec.rgb, recon.rgb))
         with pytest.raises(CorruptStreamError, match="without kept blocks"):
             coding.decode_inter_frame(b"\x00", xt, zero, 2, index=1)
 
@@ -326,8 +321,8 @@ class TestCoding:
         basis = np.outer(tf.DCT[7], tf.DCT[7])
         plane = np.hstack([np.zeros((8, 8)), np.full((8, 8), 128.0),
                            128.0 + 200.0 * basis])
-        x = Frame(plane, plane.copy(), plane.copy(), 0)
-        black, ones = Frame(*np.zeros((3, 8, 24)), 0), np.ones((8, 24))
+        x = Frame(np.stack([plane, plane.copy(), plane.copy()]), 0)
+        black, ones = Frame(np.zeros((3, 8, 24)), 0), np.ones((8, 24))
         for payload, recon, decode in [
             (*coding.code_intra_frame(x, 0),
              lambda p: coding.decode_intra_frame(p, 0, 8, 24, 0)),
@@ -338,7 +333,7 @@ class TestCoding:
                                   coding._count_params(9), coding.COUNT_SUPPORT)
             assert counts.tolist() == [0, 1, 64] * 3
             dec = decode(payload)
-            assert all(np.array_equal(p, q) for p, q in zip(dec.planes(), recon.planes()))
+            assert all(np.array_equal(p, q) for p, q in zip(dec.rgb, recon.rgb))
             assert recon.allclose(x, tol=tf.pixel_error_bound(tf.quality_step(0)))
 
     def test_negative_count_is_corrupt(self):
@@ -584,8 +579,8 @@ class TestPipeline:
             encode_sequence([], CodecConfig())
 
     def test_mixed_geometry_rejected(self, square_clip):
-        bad = square_clip[:2] + [Frame(np.zeros((32, 32)), np.zeros((32, 32)),
-                                       np.zeros((32, 32)), 2)]
+        bad = square_clip[:2] + [Frame(np.stack([np.zeros((32, 32)), np.zeros((32, 32)),
+                                                 np.zeros((32, 32))]), 2)]
         with pytest.raises(ValueError):
             encode_sequence(bad, CodecConfig())
 
@@ -620,7 +615,7 @@ class TestPipeline:
             dec, report = decode_sequence(stream, layers)
             assert report.error is None and len(dec) == 7
             for a, b in zip(frames, dec):
-                assert all(np.array_equal(p, q) for p, q in zip(a.planes(), b.planes()))
+                assert all(np.array_equal(p, q) for p, q in zip(a.rgb, b.rgb))
 
     @pytest.mark.parametrize("field", ["base_motion", "enh_motion"])
     def test_junk_after_motion_substream_refused(self, field):
@@ -654,7 +649,7 @@ class TestPipeline:
         # is about -60 against a prediction of about +30, a residual past
         # the flow coder's support, which the encoder clamps.
         world = np.random.default_rng(3).uniform(0, 255, (3, 64, 124))
-        clip = [Frame(*world[:, :, x : x + 64], index=t)
+        clip = [Frame(world[:, :, x : x + 64], index=t)
                 for t, x in enumerate((30, 60, 0))]
         stream, _ = encode_sequence(
             clip, CodecConfig(quality=2, block=16, search=64, enhancement=False))
@@ -749,7 +744,7 @@ class TestSynthetic:
     @pytest.mark.parametrize("size", [17, 32])
     def test_square_whole_in_every_frame(self, size):
         for f in translating_square(12, size):
-            assert np.count_nonzero(f.r == 220.0) == 16 * 16
+            assert np.count_nonzero(f.rgb[0] == 220.0) == 16 * 16
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +765,7 @@ class TestY4M:
             assert np.max(np.abs(a.luma() - b.luma())) < 2.0
 
     def test_rejects_odd_dimensions(self, tmp_path):
-        clip = [Frame(np.zeros((31, 64)), np.zeros((31, 64)), np.zeros((31, 64)))]
+        clip = [Frame(np.stack([np.zeros((31, 64)), np.zeros((31, 64)), np.zeros((31, 64))]))]
         with pytest.raises(Y4MError):
             write_y4m(tmp_path / "odd.y4m", clip)
 

@@ -13,9 +13,10 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from svhm.codec import CodecConfig, ScalableBitstream, decode_sequence, encode_sequence
-from svhm.codec.synthetic import translating_square
+from svhm.codec.synthetic import textured_scene, translating_square
 
 DATA = Path(__file__).parent / "data"
 
@@ -23,7 +24,7 @@ DATA = Path(__file__).parent / "data"
 def frames_sha256(frames) -> str:
     h = hashlib.sha256()
     for f in frames:
-        for plane in f.planes():
+        for plane in f.rgb:
             h.update(np.clip(np.round(plane), 0, 255).astype(np.uint8).tobytes())
     return h.hexdigest()
 
@@ -41,3 +42,29 @@ def test_conformance_stream():
                                      meta["decoded_layers"])
     assert report.error is None and len(frames) == 8
     assert frames_sha256(frames) == meta["decoded_frames_sha256"]
+
+
+# textured_scene(5, 50, 66, seed=3), GOP 2, both layers: neither side is a
+# multiple of 8, so every plane goes through the edge-replicating pad.  Per q:
+# stream SHA-256 and decoded-frame SHA-256 (base+enh, the hash rule above).
+PADDED_PINS = [
+    (0, "87e2fb55f2d725e076b6be8e5f9a34bab2b7ba166c598732a1ec67867d9aa555",
+        "e6629389cb087ce416a2ea82fdf0259aca6173e1a320858a6b05f18fc4f72915"),
+    (1, "fa0c1855588c5f7f11997075551f855e476c3cf886f442e5709f6553ac5344d6",
+        "e178345f99eef1bf4a502bbf3547d3c2475ec36552dfbaf267761d6f20b8465b"),
+    (2, "abd4e8de8bf8692490f1926d6d47764025b145776643bdb468e1399a4a5fc93e",
+        "3dde18cab88399cb806ae9c03c93779bcd6eaca067814ebfb521278be557cd61"),
+    (3, "7f97d438a5af8b84a2b6007527bcac18f4404a690cbe5e5f106f81eaad212866",
+        "fb96a4b5c98a5f2dc195e951042b439df52dc4afa25699bd7e885a26666f1501"),
+]
+
+
+@pytest.mark.parametrize("q,stream_sha256,frames_sha", PADDED_PINS)
+def test_padded_clip_pinned(q, stream_sha256, frames_sha):
+    stream, _ = encode_sequence(textured_scene(5, 50, 66, seed=3),
+                                CodecConfig(quality=q, gop=2, enhancement=True))
+    raw = stream.serialize()
+    assert hashlib.sha256(raw).hexdigest() == stream_sha256
+    frames, report = decode_sequence(ScalableBitstream.deserialize(raw), "base+enh")
+    assert report.error is None and len(frames) == 5
+    assert frames_sha256(frames) == frames_sha

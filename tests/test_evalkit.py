@@ -11,13 +11,13 @@ from svhm import evalkit as ek
 
 def gray_frame(value, h=144, w=176):
     p = np.full((h, w), float(value))
-    return Frame(p, p.copy(), p.copy())
+    return Frame(np.stack([p, p.copy(), p.copy()]))
 
 
 def noisy_pair(rng, sigma, h=144, w=176):
     base = rng.uniform(30, 220, (h, w))
-    a = Frame(base, base.copy(), base.copy())
-    b = Frame(*[np.clip(p + rng.normal(0, sigma, (h, w)), 0, 255) for p in a.planes()])
+    a = Frame(np.stack([base, base.copy(), base.copy()]))
+    b = Frame(np.stack([np.clip(p + rng.normal(0, sigma, (h, w)), 0, 255) for p in a.rgb]))
     return a, b
 
 
@@ -43,8 +43,8 @@ class TestPSNR:
 
     def test_pooled_over_channels(self):
         h = w = 16
-        a = Frame(np.zeros((h, w)), np.zeros((h, w)), np.zeros((h, w)))
-        b = Frame(np.full((h, w), 12.0), np.zeros((h, w)), np.zeros((h, w)))
+        a = Frame(np.stack([np.zeros((h, w)), np.zeros((h, w)), np.zeros((h, w))]))
+        b = Frame(np.stack([np.full((h, w), 12.0), np.zeros((h, w)), np.zeros((h, w))]))
         # MSE pooled over 3 channels: 144 / 3
         assert ek.psnr_rgb(a, b) == pytest.approx(
             10.0 * math.log10(255.0 ** 2 / 48.0), abs=1e-12)
@@ -115,7 +115,7 @@ class TestMSSSIM:
         rng = np.random.default_rng(4)
         a, b = noisy_pair(rng, 10.0)
         expected = np.mean([oracle_msssim_plane(pa, pb)
-                            for pa, pb in zip(a.planes(), b.planes())])
+                            for pa, pb in zip(a.rgb, b.rgb)])
         assert ek.msssim_rgb(a, b) == pytest.approx(expected, abs=1e-9)
 
     def test_monotone_in_noise(self):
