@@ -202,6 +202,8 @@ def cmd_rdlab(args) -> int:
     rate than residual coding, at matched Lagrangian slope."""
     if args.slopes < 1:
         raise CommandError(f"--slopes must be at least 1, got {args.slopes}")
+    if args.joints < 0:
+        raise CommandError(f"--joints must not be negative, got {args.joints}")
     rng = np.random.default_rng(args.seed)
     slopes = [float(s) for s in np.geomspace(0.01, 10.0, args.slopes)]
     worst = []

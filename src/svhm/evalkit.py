@@ -12,10 +12,9 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.ndimage import correlate1d
 
 from .codec.frames import Frame
 
@@ -55,15 +54,43 @@ def _gaussian_window(taps: int = 11, sigma: float = 1.5) -> np.ndarray:
     return w / w.sum()
 
 
-def _ssim_components(x: np.ndarray, y: np.ndarray, win: np.ndarray):
-    def blur(p):
-        return correlate1d(correlate1d(p, win, axis=0, mode="reflect"),
-                           win, axis=1, mode="reflect")
+_WINDOW = _gaussian_window()
+# Output rows per band matrix: one matrix covers a side of up to this length,
+# and longer sides are blurred in blocks, so the cost stays linear in the side.
+_BLUR_BLOCK = 32
 
-    mx, my = blur(x), blur(y)
-    sxx = blur(x * x) - mx * mx
-    syy = blur(y * y) - my * my
-    sxy = blur(x * y) - mx * my
+
+@lru_cache(maxsize=64)
+def _blur_blocks(n: int) -> tuple[tuple[slice, np.ndarray], ...]:
+    """The window's correlation along an axis of length n as (input rows,
+    band matrix) pairs, one per block of consecutive output rows.  Edges are
+    half-sample symmetric (d c b a | a b c d | d c b a)."""
+    half = len(_WINDOW) // 2
+    blocks = []
+    for i0 in range(0, n, _BLUR_BLOCK):
+        i1 = min(i0 + _BLUR_BLOCK, n)
+        j0, j1 = max(i0 - half, 0), min(i1 + half, n)
+        src = np.mod(np.arange(i0, i1)[:, None] + np.arange(-half, half + 1), 2 * n)
+        src = np.where(src < n, src, 2 * n - 1 - src) - j0
+        band = np.zeros((i1 - i0, j1 - j0))
+        np.add.at(band, (np.arange(i1 - i0)[:, None], src), _WINDOW)
+        blocks.append((slice(j0, j1), band))
+    return tuple(blocks)
+
+
+def _blur(s: np.ndarray) -> np.ndarray:
+    """Separable Gaussian blur over the last two axes of s."""
+    t = np.concatenate([band @ s[..., rows, :]
+                        for rows, band in _blur_blocks(s.shape[-2])], axis=-2)
+    return np.concatenate([t[..., cols] @ band.T
+                           for cols, band in _blur_blocks(s.shape[-1])], axis=-1)
+
+
+def _ssim_components(x: np.ndarray, y: np.ndarray):
+    mx, my, exx, eyy, exy = _blur(np.stack([x, y, x * x, y * y, x * y]))
+    sxx = exx - mx * mx
+    syy = eyy - my * my
+    sxy = exy - mx * my
     lum = (2 * mx * my + _C1) / (mx * mx + my * my + _C1)
     cs = (2 * sxy + _C2) / (sxx + syy + _C2)
     return lum, cs
@@ -75,10 +102,10 @@ def _downsample_mean(p: np.ndarray) -> np.ndarray:
     return p.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
 
 
-def _msssim_channel(x: np.ndarray, y: np.ndarray, win: np.ndarray) -> float:
+def _msssim_channel(x: np.ndarray, y: np.ndarray) -> float:
     score = 1.0
     for level, weight in enumerate(_MSSSIM_WEIGHTS):
-        lum, cs = _ssim_components(x, y, win)
+        lum, cs = _ssim_components(x, y)
         if level == len(_MSSSIM_WEIGHTS) - 1:
             score *= float(np.mean(lum * cs)) ** weight
         else:
@@ -95,10 +122,9 @@ def msssim_rgb(a: Frame, b: Frame) -> float:
     if min(a.height, a.width) < 144:
         raise ValueError(
             f"frame {a.width}x{a.height} too small for "
-            f"{len(_MSSSIM_WEIGHTS)}-scale MS-SSIM (needs >= 176x144)")
-    win = _gaussian_window()
+            f"{len(_MSSSIM_WEIGHTS)}-scale MS-SSIM (needs both sides >= 144)")
     return float(np.mean([
-        _msssim_channel(pa, pb, win) for pa, pb in zip(a.rgb, b.rgb)
+        _msssim_channel(pa, pb) for pa, pb in zip(a.rgb, b.rgb)
     ]))
 
 
@@ -107,6 +133,61 @@ def msssim_rgb(a: Frame, b: Frame) -> float:
 # ---------------------------------------------------------------------------
 
 _OVERLAP_MIN = {"PSNR": 2.0, "mAP": 2.0, "MS-SSIM": 0.01}
+
+
+def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """Three-point end derivative, clamped so the end piece keeps its shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3 * abs(m0):
+        return 3 * m0
+    return d
+
+
+class MonotoneCubic:
+    """Shape-preserving piecewise-cubic Hermite interpolant through at least
+    three knots (x strictly increasing), with the Fritsch-Carlson derivative
+    rule of PCHIP; the end pieces extrapolate."""
+
+    def __init__(self, x, y):
+        self.x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        h = np.diff(self.x)
+        m = np.diff(y) / h
+        # interior knots: weighted harmonic mean of the two secants, or a
+        # flat tangent where they change sign or either is 0
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        flat = np.sign(m[:-1]) * np.sign(m[1:]) <= 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+        d = np.concatenate([[_end_slope(h[0], h[1], m[0], m[1])],
+                            np.where(flat, 0.0, inner),
+                            [_end_slope(h[-1], h[-2], m[-1], m[-2])]])
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        # power-series coefficients of each piece in s = q - x[k], s^3 first
+        self._coef = np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+        self._start = np.concatenate(
+            [[0.0], np.cumsum(self._piece_integral(np.arange(len(h)), h))])
+
+    def _locate(self, q):
+        q = np.asarray(q, dtype=float)
+        k = np.clip(np.searchsorted(self.x, q, side="right") - 1, 0, len(self.x) - 2)
+        return k, q - self.x[k]
+
+    def _piece_integral(self, k, s):
+        c3, c2, c1, c0 = self._coef[:, k]
+        return (((c3 / 4 * s + c2 / 3) * s + c1 / 2) * s + c0) * s
+
+    def __call__(self, q):
+        k, s = self._locate(q)
+        c3, c2, c1, c0 = self._coef[:, k]
+        return ((c3 * s + c2) * s + c1) * s + c0
+
+    def antiderivative(self, q):
+        """Integral of the interpolant from the first knot to q."""
+        k, s = self._locate(q)
+        return self._start[k] + self._piece_integral(k, s)
 
 
 @dataclass
@@ -135,10 +216,10 @@ class RDCurveTable:
     def quality_range(self) -> tuple[float, float]:
         return self.points[0][1], self.points[-1][1]
 
-    def log_rate_interpolant(self) -> PchipInterpolator:
+    def log_rate_interpolant(self) -> MonotoneCubic:
         quals = [p[1] for p in self.points]
         logr = [math.log10(p[0]) for p in self.points]
-        return PchipInterpolator(quals, logr)
+        return MonotoneCubic(quals, logr)
 
 
 def read_rd_csv(path) -> list[RDCurveTable]:
@@ -178,10 +259,9 @@ def bd_rate(anchor: RDCurveTable, test: RDCurveTable) -> float:
             f"insufficient quality overlap for {anchor.metric}: anchor spans "
             f"{anchor.quality_range()}, test spans {test.quality_range()}, "
             f"common [{lo}, {hi}] < {need}")
-    fa = anchor.log_rate_interpolant()
-    ft = test.log_rate_interpolant()
-    mean_diff = (ft.antiderivative()(hi) - ft.antiderivative()(lo)
-                 - fa.antiderivative()(hi) + fa.antiderivative()(lo)) / (hi - lo)
+    fa = anchor.log_rate_interpolant().antiderivative
+    ft = test.log_rate_interpolant().antiderivative
+    mean_diff = (ft(hi) - ft(lo) - fa(hi) + fa(lo)) / (hi - lo)
     return 100.0 * (10.0 ** mean_diff - 1.0)
 
 

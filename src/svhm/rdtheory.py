@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 LOG_FLOOR = 1e-15
 _LN2 = np.log(2.0)

@@ -7,6 +7,8 @@ no-partial-output guarantee can be checked directly.
 import csv
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -362,6 +364,22 @@ class TestRDLab:
         assert capsys.readouterr().err.startswith("error: --slopes")
         assert not out.exists()
 
+    @pytest.mark.parametrize("joints", ["-1", "-5"])
+    def test_negative_joints_is_a_usage_error(self, tmp_path, capsys, joints):
+        out = tmp_path / "lab.json"
+        assert main(["rdlab", "--joints", joints, "--slopes", "2",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: --joints")
+        assert not out.exists()
+
+    def test_zero_joints_checks_nothing_and_says_so(self, tmp_path):
+        out = tmp_path / "lab.json"
+        assert main(["rdlab", "--joints", "0", "--slopes", "2",
+                     "--out", str(out)]) == EXIT_OK
+        data = json.loads(out.read_text())
+        assert data["joints"] == 0
+        assert data["per_joint_worst_margins"] == []
+
     def test_small_sweep_all_hold(self, tmp_path):
         out = str(tmp_path / "lab.json")
         assert main(["rdlab", "--joints", "3", "--slopes", "4",
@@ -378,3 +396,15 @@ class TestRDLab:
 
     def test_exit_codes_defined(self):
         assert (EXIT_OK, EXIT_VERIFY, EXIT_USAGE) == (0, 1, 2)
+
+
+def test_import_loads_no_scipy():
+    # svhm.cli imports every svhm module; scipy is only a test-time oracle
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    probe = ("import sys, svhm.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -100,6 +100,18 @@ def oracle_msssim_plane(x, y):
     return score
 
 
+class TestBlurOracle:
+    @pytest.mark.parametrize("shape", [(144, 176), (72, 88), (36, 44), (18, 22), (9, 11),
+                                       (150, 203), (4, 3)])
+    def test_matches_scipy_reflect(self, shape):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        planes = np.random.default_rng(7).uniform(0.0, 255.0, (2, *shape))
+        win = ek._gaussian_window()
+        expected = [ndimage.correlate1d(ndimage.correlate1d(p, win, axis=0, mode="reflect"),
+                                        win, axis=1, mode="reflect") for p in planes]
+        np.testing.assert_allclose(ek._blur(planes), expected, rtol=1e-12, atol=0)
+
+
 class TestMSSSIM:
     def test_identical_is_one(self):
         rng = np.random.default_rng(2)
@@ -189,6 +201,64 @@ class TestRDCurveTable:
         assert {(c.label, c.metric) for c in back} == {("enc1", "PSNR"), ("enc2", "MS-SSIM")}
         by_label = {c.label: c for c in back}
         assert by_label["enc1"].points == curves[0].points
+
+
+def pchip_oracle_curves():
+    """(x, y) knots: fixed shapes that reach every branch of the derivative
+    rule, then seeded random ones."""
+    curves = [
+        # secants 1, -5, 1: both ends' three-point slope 4 is clamped to 3 * m0
+        ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, -4.0, -3.0]),
+        # a zero secant and sign changes give flat interior tangents; the
+        # right end's three-point slope has the wrong sign and becomes 0
+        ([0.0, 1.0, 3.0, 4.0, 6.0, 6.5], [1.0, 1.0, 2.0, 0.0, 5.0, 5.1]),
+        # two 0 secants in a row, one of them -0.0
+        ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 0.0, -0.0, 1.0, 3.0]),
+    ]
+    rng = np.random.default_rng(11)
+    for n in (3, 4, 5, 6, 8, 12) * 4:
+        x = np.cumsum(rng.uniform(0.05, 4.0, n)) + rng.uniform(-40.0, 40.0)
+        y = rng.normal(0.0, 3.0, n) if n % 2 else np.cumsum(rng.exponential(1.0, n))
+        curves.append((x.tolist(), y.tolist()))
+    return curves
+
+
+class TestMonotoneCubicOracle:
+    @pytest.mark.parametrize("x, y", pchip_oracle_curves())
+    def test_matches_scipy_pchip(self, x, y):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        ours = ek.MonotoneCubic(x, y)
+        ref = interpolate.PchipInterpolator(x, y)
+        q = np.concatenate([x, np.linspace(x[0] - 1.0, x[-1] + 1.0, 97)])
+        np.testing.assert_allclose(ours(q), ref(q), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(ours.antiderivative(q), ref.antiderivative()(q),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_bd_rate_matches_scipy_pchip(self):
+        interpolate = pytest.importorskip("scipy.interpolate")
+
+        def oracle(anchor, test):
+            lo = max(anchor.points[0][1], test.points[0][1])
+            hi = min(anchor.points[-1][1], test.points[-1][1])
+            area = [interpolate.PchipInterpolator(
+                        [q for _, q in c.points], [math.log10(r) for r, _ in c.points]
+                    ).integrate(lo, hi) for c in (anchor, test)]
+            return 100.0 * (10.0 ** ((area[1] - area[0]) / (hi - lo)) - 1.0)
+
+        rng = np.random.default_rng(12)
+        checked = 0
+        for _ in range(300):
+            a, b = (ek.RDCurveTable(lbl, "PSNR", list(zip(
+                        np.sort(rng.uniform(0.01, 2.0, n)).tolist(),
+                        np.sort(rng.uniform(28.0, 42.0, n)).tolist())))
+                    for lbl, n in (("a", rng.integers(4, 8)), ("b", rng.integers(4, 8))))
+            try:
+                got = ek.bd_rate(a, b)
+            except ek.OverlapError:
+                continue
+            assert got == pytest.approx(oracle(a, b), rel=1e-12, abs=1e-12)
+            checked += 1
+        assert checked > 200
 
 
 class TestBDRate:
