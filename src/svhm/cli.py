@@ -1,9 +1,11 @@
 """Command-line front end: encode/decode, metrics, BD-Rate, break-even, and
 the rate-distortion theory lab.
 
-Exit codes: 0 success, 1 verification failed (rdlab inequality violation),
-2 usage or I/O error.  Output files are written atomically (temp + rename);
-failed commands leave no partial output.
+Exit codes: 0 success, 1 an rdlab inequality violation, 2 refused input.  A
+refused input (a file, a header, a CSV or an option) is a ``ValueError`` or an
+``OSError``; ``main()`` alone turns it into one ``error: ...`` line and exit 2.
+Any other exception is a bug and ends in a traceback.  Output files are written
+atomically (temp + rename); failed commands leave no partial output.
 """
 
 from __future__ import annotations
@@ -19,35 +21,35 @@ import numpy as np
 
 from . import evalkit, rdtheory
 from .codec import CodecConfig, ScalableBitstream, decode_sequence, encode_sequence
-from .codec.container import ContainerError
-from .codec.y4m import Y4MError, read_y4m, read_yuv420, write_y4m
+from .codec.y4m import read_y4m, read_yuv420, write_y4m
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 
 
-class CommandError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+class CommandError(ValueError):
+    """A refused command-line input."""
 
 
 def _atomic_write(path: str, write) -> None:
     """Run ``write(tmp)`` on a temp file beside ``path``, then rename it into
     place; on any failure the temp file is removed and ``path`` is untouched."""
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
-    os.close(fd)
     umask = os.umask(0)
     os.umask(umask)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
+        os.close(fd)
         os.chmod(tmp, 0o666 & ~umask)   # mkstemp's 0600 -> the mode open() gives
         write(tmp)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:   # name path, not tmp
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -65,15 +67,12 @@ def _emit(args, text: str) -> None:
 
 def _load_frames(path: str, width: int | None, height: int | None):
     """Frames of a .y4m file, or of raw YUV420 of the given geometry."""
-    try:
-        if path.endswith(".y4m"):
-            frames, _ = read_y4m(path)
-        else:
-            if width is None or height is None:
-                raise CommandError("raw YUV input needs --width and --height")
-            frames = read_yuv420(path, width, height)
-    except Y4MError as exc:
-        raise CommandError(str(exc)) from exc
+    if path.endswith(".y4m"):
+        frames, _ = read_y4m(path)
+    else:
+        if width is None or height is None:
+            raise CommandError("raw YUV input needs --width and --height")
+        frames = read_yuv420(path, width, height)
     if not frames:
         raise CommandError(f"{path}: no frames")
     return frames
@@ -81,16 +80,10 @@ def _load_frames(path: str, width: int | None, height: int | None):
 
 def cmd_encode(args) -> int:
     frames = _load_frames(args.input, args.width, args.height)
-    try:
-        config = CodecConfig(quality=args.q, gop=args.gop, block=args.block,
-                             search=args.search, fusion_weight=args.fusion_weight,
-                             enhancement=(args.layers == "base+enh"))
-    except ValueError as exc:
-        raise CommandError(str(exc)) from exc
-    try:
-        stream, report = encode_sequence(frames, config)
-    except ContainerError as exc:
-        raise CommandError(str(exc)) from exc
+    config = CodecConfig(quality=args.q, gop=args.gop, block=args.block,
+                         search=args.search, fusion_weight=args.fusion_weight,
+                         enhancement=(args.layers == "base+enh"))
+    stream, report = encode_sequence(frames, config)
     _atomic_write_bytes(args.output, stream.serialize())
     if args.report:
         _atomic_write_bytes(args.report, report.to_json().encode())
@@ -100,24 +93,15 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    with open(args.input, "rb") as f:
-        raw = f.read()
-    try:
-        stream = ScalableBitstream.deserialize(raw)
-    except ContainerError as exc:
-        raise CommandError(str(exc)) from exc
+    stream = ScalableBitstream.deserialize(pathlib.Path(args.input).read_bytes())
     frames, report = decode_sequence(stream, args.layers)
     if not frames:
         raise CommandError(f"no decodable frames: {report.error}")
-    try:
-        _atomic_write(args.output, lambda tmp: write_y4m(tmp, frames))
-    except Y4MError as exc:
-        raise CommandError(str(exc)) from exc
+    _atomic_write(args.output, lambda tmp: write_y4m(tmp, frames))
     if args.report:
         _atomic_write_bytes(args.report, report.to_json().encode())
     if report.error is not None:
-        print(f"partial decode: {len(frames)} frames ({report.error})",
-              file=sys.stderr)
+        print(f"partial decode: {len(frames)} frames ({report.error})", file=sys.stderr)
         return EXIT_USAGE
     print(f"decoded {len(frames)} frames ({args.layers}) -> {args.output}")
     return EXIT_OK
@@ -129,14 +113,11 @@ def cmd_metrics(args) -> int:
     if len(ref) != len(test):
         raise CommandError(f"frame count mismatch: {len(ref)} vs {len(test)}")
     rows = []
-    try:   # frames of different sizes, or too small for MS-SSIM
-        for a, b in zip(ref, test):
-            entry = {"frame": a.index, "psnr": evalkit.psnr_rgb(a, b)}
-            if args.msssim:
-                entry["msssim"] = evalkit.msssim_rgb(a, b)
-            rows.append(entry)
-    except ValueError as exc:
-        raise CommandError(str(exc)) from exc
+    for a, b in zip(ref, test):
+        entry = {"frame": a.index, "psnr": evalkit.psnr_rgb(a, b)}
+        if args.msssim:
+            entry["msssim"] = evalkit.msssim_rgb(a, b)
+        rows.append(entry)
     finite = [r["psnr"] for r in rows if r["psnr"] != evalkit.PSNR_INF]
     out = {
         "frames": [{k: (None if v == evalkit.PSNR_INF else v) for k, v in r.items()}
@@ -167,10 +148,7 @@ def cmd_bdrate(args) -> int:
         test = curves[(args.test, args.metric)]
     except KeyError as exc:
         raise CommandError(f"curve not found in {args.curves}: {exc}") from exc
-    try:
-        bd = evalkit.bd_rate(anchor, test)
-    except (evalkit.OverlapError, evalkit.CurveError) as exc:
-        raise CommandError(str(exc)) from exc
+    bd = evalkit.bd_rate(anchor, test)
     out = {"anchor": args.anchor, "test": args.test, "metric": args.metric,
            "bd_rate_percent": bd}
     _emit(args, json.dumps(out, indent=2))
@@ -188,10 +166,7 @@ def cmd_breakeven(args) -> int:
     else:
         if args.a is None or args.b is None:
             raise CommandError("need either --summary or both --a and --b")
-        try:
-            result = evalkit.break_even(args.a, args.b)
-        except ValueError as exc:
-            raise CommandError(str(exc)) from exc
+        result = evalkit.break_even(args.a, args.b)
         text = json.dumps({"phi": result.phi, "regime": result.regime}, indent=2)
     _emit(args, text)
     return EXIT_OK
@@ -204,6 +179,10 @@ def cmd_rdlab(args) -> int:
         raise CommandError(f"--slopes must be at least 1, got {args.slopes}")
     if args.joints < 0:
         raise CommandError(f"--joints must not be negative, got {args.joints}")
+    if args.seed < 0:
+        raise CommandError(f"--seed must not be negative, got {args.seed}")
+    if not 0 <= args.tolerance < np.inf:
+        raise CommandError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     rng = np.random.default_rng(args.seed)
     slopes = [float(s) for s in np.geomspace(0.01, 10.0, args.slopes)]
     worst = []
@@ -311,10 +290,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except CommandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except OSError as exc:
+    except (ValueError, OSError) as exc:   # a refused input; anything else is a bug
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -87,13 +87,10 @@ def _blur(s: np.ndarray) -> np.ndarray:
 
 
 def _ssim_components(x: np.ndarray, y: np.ndarray):
+    """Local means of x and y, and the contrast-structure map."""
     mx, my, exx, eyy, exy = _blur(np.stack([x, y, x * x, y * y, x * y]))
-    sxx = exx - mx * mx
-    syy = eyy - my * my
-    sxy = exy - mx * my
-    lum = (2 * mx * my + _C1) / (mx * mx + my * my + _C1)
-    cs = (2 * sxy + _C2) / (sxx + syy + _C2)
-    return lum, cs
+    cs = (2 * (exy - mx * my) + _C2) / ((exx - mx * mx) + (eyy - my * my) + _C2)
+    return mx, my, cs
 
 
 def _downsample_mean(p: np.ndarray) -> np.ndarray:
@@ -104,15 +101,13 @@ def _downsample_mean(p: np.ndarray) -> np.ndarray:
 
 def _msssim_channel(x: np.ndarray, y: np.ndarray) -> float:
     score = 1.0
-    for level, weight in enumerate(_MSSSIM_WEIGHTS):
-        lum, cs = _ssim_components(x, y)
-        if level == len(_MSSSIM_WEIGHTS) - 1:
-            score *= float(np.mean(lum * cs)) ** weight
-        else:
-            score *= max(float(np.mean(cs)), 0.0) ** weight
-            x = _downsample_mean(x)
-            y = _downsample_mean(y)
-    return score
+    for weight in _MSSSIM_WEIGHTS[:-1]:   # contrast-structure only, then halve
+        _, _, cs = _ssim_components(x, y)
+        score *= max(float(np.mean(cs)), 0.0) ** weight
+        x, y = _downsample_mean(x), _downsample_mean(y)
+    mx, my, cs = _ssim_components(x, y)   # the coarsest scale adds luminance
+    lum = (2 * mx * my + _C1) / (mx * mx + my * my + _C1)
+    return score * float(np.mean(lum * cs)) ** _MSSSIM_WEIGHTS[-1]
 
 
 def msssim_rgb(a: Frame, b: Frame) -> float:

@@ -447,6 +447,8 @@ def verify_rd_inequality(
     slopes = list(slopes)
     if not slopes:
         raise ValueError("at least one slope is required")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     out = []
     for s in slopes:
         pc = conditional_rd(j, d, s, max_iters=ba_max_iters)

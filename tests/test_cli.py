@@ -372,6 +372,20 @@ class TestRDLab:
         assert capsys.readouterr().err.startswith("error: --joints")
         assert not out.exists()
 
+    @pytest.mark.parametrize("option, value", [
+        ("--seed", "-1"), ("--tolerance", "nan"), ("--tolerance", "inf"),
+        ("--tolerance", "-1"),
+    ])
+    def test_meaningless_seed_or_tolerance_is_a_usage_error(self, tmp_path, capsys,
+                                                            option, value):
+        # nan and -1 would report false violations, inf would pass vacuously,
+        # and numpy refuses a negative seed with a message naming no option
+        out = tmp_path / "lab.json"
+        assert main(["rdlab", "--joints", "1", "--slopes", "2", option, value,
+                     "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: {option} ")
+        assert not out.exists()
+
     def test_zero_joints_checks_nothing_and_says_so(self, tmp_path):
         out = tmp_path / "lab.json"
         assert main(["rdlab", "--joints", "0", "--slopes", "2",
@@ -396,6 +410,81 @@ class TestRDLab:
 
     def test_exit_codes_defined(self):
         assert (EXIT_OK, EXIT_VERIFY, EXIT_USAGE) == (0, 1, 2)
+
+
+def _clip(d, name, size):
+    write_y4m(d / name, translating_square(frames=2, size=size, seed=0))
+    return str(d / name)
+
+
+def _file(d, name, data):
+    (d / name).write_bytes(data)
+    return str(d / name)
+
+
+def _odd_sized_stream(d):
+    stream, _ = encode_sequence(translating_square(2, 33), CodecConfig(quality=1, gop=2))
+    return _file(d, "odd.svhm", stream.serialize())
+
+
+_DISJOINT_CURVES_CSV = "label,metric,bpp,quality\n" + "".join(
+    f"{label},PSNR,{bpp},{quality + shift}\n"
+    for label, shift in (("anchor", 0.0), ("test", 20.0))
+    for bpp, quality in ((0.1, 30.0), (0.2, 33.0), (0.4, 36.0), (0.8, 39.0)))
+
+# One row per kind of refused input, from each library layer that refuses one;
+# main() alone turns all of them into exit 2.
+_REFUSALS = {
+    "y4m-header": lambda d: [
+        "encode", "--in", _file(d, "h.y4m", _HOSTILE_INPUTS["non_integer_width.y4m"][0])],
+    "odd-size-decode": lambda d: ["decode", "--in", _odd_sized_stream(d)],
+    "codec-config": lambda d: ["encode", "--in", _clip(d, "c.y4m", 32),
+                               "--fusion-weight", "2"],
+    "psnr-size-mismatch": lambda d: ["metrics", "--ref", _clip(d, "a.y4m", 32),
+                                     "--in", _clip(d, "b.y4m", 64)],
+    "bdrate-overlap": lambda d: [
+        "bdrate", "--curves", _file(d, "c.csv", _DISJOINT_CURVES_CSV.encode()),
+        "--anchor", "anchor", "--test", "test"],
+    "breakeven-non-finite": lambda d: ["breakeven", "--a", "inf", "--b", "1.2"],
+    "rdlab-seed": lambda d: ["rdlab", "--joints", "1", "--seed", "-1"],
+    "rdlab-tolerance-nan": lambda d: ["rdlab", "--joints", "1", "--tolerance", "nan"],
+    "rdlab-tolerance-inf": lambda d: ["rdlab", "--joints", "1", "--tolerance", "inf"],
+    "rdlab-tolerance-negative": lambda d: ["rdlab", "--joints", "1", "--tolerance", "-1"],
+}
+
+
+@pytest.mark.parametrize("name", list(_REFUSALS))
+def test_every_refusal_is_one_error_line_and_exit_2(tmp_path, capsys, name):
+    src = tmp_path / "src"
+    src.mkdir()
+    out = tmp_path / "out"
+    assert main(_REFUSALS[name](src) + ["--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["missing/dir/o.svhm", "is_a_dir"])
+def test_failed_write_names_the_requested_path(clip_y4m, tmp_path, capsys, target):
+    (tmp_path / "is_a_dir").mkdir()
+    out = tmp_path / target
+    assert main(["encode", "--in", clip_y4m, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(str(out)) in err and ".tmp-" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["is_a_dir"]
+    assert list((tmp_path / "is_a_dir").iterdir()) == []
+
+
+def test_a_bug_is_not_a_refused_input(monkeypatch):
+    # main() turns only ValueError and OSError into exit 2; a TypeError
+    # raised inside a command is a bug and must end in a traceback.
+    def broken(a, b):
+        raise TypeError("a bug")
+    monkeypatch.setattr("svhm.cli.evalkit.break_even", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        main(["breakeven", "--a", "0.8", "--b", "1.2"])
 
 
 def test_import_loads_no_scipy():

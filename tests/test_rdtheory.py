@@ -325,6 +325,15 @@ class TestConditionalVsResidual:
             for cmp in rd.verify_rd_inequality(j, d, [0.05, 1.0], ba_max_iters=400_000):
                 assert abs(cmp.margin) <= 1e-6
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_meaningless_tolerance_refused(self, tol):
+        # nan and -1 would report false violations, inf would pass vacuously
+        j = rd.random_joint(np.random.default_rng(0))
+        d = rd.DistortionMatrix.squared_error(rd.residual_alphabet(j))
+        with pytest.raises(ValueError, match="tol must be finite"):
+            rd.verify_rd_inequality(j, d, [1.0], tol=tol)
+        assert rd.verify_rd_inequality(j, d, [1.0], tol=0.0)[0].holds
+
 
 # ---------------------------------------------------------------------------
 # Data-processing inequality
