@@ -80,8 +80,7 @@ def _load_frames(path: str, width: int | None, height: int | None):
 
 def cmd_encode(args) -> int:
     frames = _load_frames(args.input, args.width, args.height)
-    config = CodecConfig(quality=args.q, gop=args.gop, block=args.block,
-                         search=args.search, fusion_weight=args.fusion_weight,
+    config = CodecConfig(quality=args.q, gop=args.gop,
                          enhancement=(args.layers == "base+enh"))
     stream, report = encode_sequence(frames, config)
     _atomic_write_bytes(args.output, stream.serialize())
@@ -94,6 +93,8 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     stream = ScalableBitstream.deserialize(pathlib.Path(args.input).read_bytes())
+    if not stream.frames:
+        raise CommandError("stream holds no frames")
     frames, report = decode_sequence(stream, args.layers)
     if not frames:
         raise CommandError(f"no decodable frames: {report.error}")
@@ -227,10 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--out", dest="output", required=True, help="output container path")
     enc.add_argument("--q", type=int, default=2, help="quality index 0..3 (coarse..fine)")
     enc.add_argument("--gop", type=int, default=32, help="intra period")
-    enc.add_argument("--block", type=int, default=16, help="motion block size")
-    enc.add_argument("--search", type=int, default=8, help="motion search range")
-    enc.add_argument("--fusion-weight", type=float, default=0.5,
-                     help="enhancement context blend toward the base frame")
     enc.add_argument("--layers", choices=["base", "base+enh"], default="base+enh",
                      help="'base' leaves enhancement sub-streams empty")
     enc.add_argument("--width", type=int, help="raw YUV width")

@@ -54,8 +54,10 @@ def ycbcr_to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray, index: int = 0) 
 
 
 def downsample2(plane: np.ndarray) -> np.ndarray:
-    """2x2 average for 4:2:0 chroma (dimensions must be even)."""
+    """2x2 average (4:2:0 chroma, MS-SSIM scales); an odd last row or column
+    is dropped."""
     h, w = plane.shape
+    plane = plane[: h - h % 2, : w - w % 2]
     return plane.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
 
 

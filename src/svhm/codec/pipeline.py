@@ -26,23 +26,21 @@ from .modes import combine_predictor, derive_mode_maps
 from .motion import FlowField, compensate, estimate_motion
 
 
+# What every stream this encoder writes declares in its header.  The decoder
+# honours any block, search and fusion byte the parser accepts.
+MOTION_BLOCK = 16
+MOTION_SEARCH = 8
+FUSION_WEIGHT_Q = 128     # round(0.5 * 255): the base frame's share of the context
+
+
 @dataclass
 class CodecConfig:
     quality: int = 2
     gop: int = 32
-    block: int = 16
-    search: int = 8
-    fusion_weight: float = 0.5
     enhancement: bool = True
 
     def __post_init__(self):
-        check_header_fields(self.quality, self.gop, self.block, self.search)
-        if not 0.0 <= self.fusion_weight <= 1.0:
-            raise ValueError("fusion_weight must be in [0, 1]")
-
-    @property
-    def fusion_weight_q(self) -> int:
-        return int(round(self.fusion_weight * 255.0))
+        check_header_fields(self.quality, self.gop, MOTION_BLOCK, MOTION_SEARCH)
 
 
 @dataclass
@@ -143,9 +141,8 @@ def encode_sequence(frames: list[Frame], config: CodecConfig) -> tuple[ScalableB
         raise ValueError("all frames must share one geometry")
     check_frame_size(w, h)
     t0 = time.perf_counter()
-    stream = ScalableBitstream(w, h, config.gop, config.quality,
-                               config.block, config.search,
-                               config.fusion_weight_q,
+    stream = ScalableBitstream(w, h, config.gop, config.quality, MOTION_BLOCK,
+                               MOTION_SEARCH, FUSION_WEIGHT_Q,
                                [FrameRecord() for _ in frames])
     report = RateReport(w, h, len(frames))
 
@@ -154,10 +151,8 @@ def encode_sequence(frames: list[Frame], config: CodecConfig) -> tuple[ScalableB
         return hat
 
     def flow(t, rec, field, ref, vbar):
-        v = estimate_motion(frames[t], ref, config.block, config.search)
-        s = coding.FLOW_SUPPORT   # keep v - vbar inside the flow coder's support
-        v = FlowField(np.clip(v.dx, vbar.dx - s, vbar.dx + s),
-                      np.clip(v.dy, vbar.dy - s, vbar.dy + s), v.block, v.search)
+        # |v - vbar| <= 2 * search stays inside coding.FLOW_SUPPORT while search <= 32
+        v = estimate_motion(frames[t], ref, stream.block, stream.search)
         setattr(rec, field, coding.code_flow(v, vbar))
         return v
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codec.frames import Frame
+from .codec.frames import Frame, downsample2
 
 PSNR_INF = float("inf")
 
@@ -93,18 +93,12 @@ def _ssim_components(x: np.ndarray, y: np.ndarray):
     return mx, my, cs
 
 
-def _downsample_mean(p: np.ndarray) -> np.ndarray:
-    h, w = p.shape
-    p = p[: h - h % 2, : w - w % 2]
-    return p.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
-
-
 def _msssim_channel(x: np.ndarray, y: np.ndarray) -> float:
     score = 1.0
     for weight in _MSSSIM_WEIGHTS[:-1]:   # contrast-structure only, then halve
         _, _, cs = _ssim_components(x, y)
         score *= max(float(np.mean(cs)), 0.0) ** weight
-        x, y = _downsample_mean(x), _downsample_mean(y)
+        x, y = downsample2(x), downsample2(y)
     mx, my, cs = _ssim_components(x, y)   # the coarsest scale adds luminance
     lum = (2 * mx * my + _C1) / (mx * mx + my * my + _C1)
     return score * float(np.mean(lum * cs)) ** _MSSSIM_WEIGHTS[-1]
@@ -249,11 +243,12 @@ def bd_rate(anchor: RDCurveTable, test: RDCurveTable) -> float:
     lo = max(anchor.quality_range()[0], test.quality_range()[0])
     hi = min(anchor.quality_range()[1], test.quality_range()[1])
     need = _OVERLAP_MIN.get(anchor.metric, 2.0)
+    spans = f"anchor spans {anchor.quality_range()}, test spans {test.quality_range()}"
+    if hi < lo:
+        raise OverlapError(f"no common quality range for {anchor.metric}: {spans}")
     if hi - lo < need:
-        raise OverlapError(
-            f"insufficient quality overlap for {anchor.metric}: anchor spans "
-            f"{anchor.quality_range()}, test spans {test.quality_range()}, "
-            f"common [{lo}, {hi}] < {need}")
+        raise OverlapError(f"insufficient quality overlap for {anchor.metric}: "
+                           f"{spans}, common [{lo}, {hi}] < {need}")
     fa = anchor.log_rate_interpolant().antiderivative
     ft = test.log_rate_interpolant().antiderivative
     mean_diff = (ft(hi) - ft(lo) - fa(hi) + fa(lo)) / (hi - lo)

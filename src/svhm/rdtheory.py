@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-LOG_FLOOR = 1e-15
 _LN2 = np.log(2.0)
 
 DEFAULT_TOL = 1e-9
@@ -90,38 +89,27 @@ class DiscreteJointSource:
 
 @dataclass
 class DistortionMatrix:
-    """Per-pair distortion d(source symbol, reconstruction symbol)."""
+    """Per-pair distortion d(source symbol, reconstruction symbol); the
+    constructors reconstruct over the source alphabet."""
 
     values: np.ndarray
-    reconstruction_alphabet: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        self.reconstruction_alphabet = np.asarray(
-            self.reconstruction_alphabet, dtype=np.float64
-        )
         if self.values.ndim != 2:
             raise DistributionError("distortion matrix must be 2-D")
-        if self.values.shape[1] != self.reconstruction_alphabet.size:
-            raise DistributionError("reconstruction alphabet size mismatch")
         if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
             raise DistributionError("distortions must be finite and non-negative")
 
     @classmethod
-    def squared_error(cls, source_alphabet, reconstruction_alphabet=None):
-        src = np.asarray(source_alphabet, dtype=np.float64)
-        rec = src if reconstruction_alphabet is None else np.asarray(
-            reconstruction_alphabet, dtype=np.float64
-        )
-        return cls((src[:, None] - rec[None, :]) ** 2, rec)
+    def squared_error(cls, alphabet):
+        a = np.asarray(alphabet, dtype=np.float64)
+        return cls((a[:, None] - a[None, :]) ** 2)
 
     @classmethod
-    def hamming(cls, source_alphabet, reconstruction_alphabet=None):
-        src = np.asarray(source_alphabet, dtype=np.float64)
-        rec = src if reconstruction_alphabet is None else np.asarray(
-            reconstruction_alphabet, dtype=np.float64
-        )
-        return cls((np.abs(src[:, None] - rec[None, :]) > 1e-12).astype(np.float64), rec)
+    def hamming(cls, alphabet):
+        a = np.asarray(alphabet, dtype=np.float64)
+        return cls((np.abs(a[:, None] - a[None, :]) > 1e-12).astype(np.float64))
 
 
 @dataclass
@@ -373,7 +361,6 @@ def residual_rd(
     j: DiscreteJointSource,
     d: DistortionMatrix,
     slope: float,
-    tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> RDPoint:
     """R-D point for coding Z = X - Y unconditionally.
@@ -383,14 +370,13 @@ def residual_rd(
     equals the input-domain distortion.
     """
     _, pz = residual_distribution(j)
-    return blahut_arimoto(pz, d, slope, tol=tol, max_iters=max_iters)
+    return blahut_arimoto(pz, d, slope, max_iters=max_iters)
 
 
 def conditional_rd(
     j: DiscreteJointSource,
     d: DistortionMatrix,
     slope: float,
-    tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> RDPoint:
     """R-D point for coding Z = X - Y conditioned on Y.
@@ -411,7 +397,7 @@ def conditional_rd(
         if p_y[k] <= 0:
             continue
         pz_given_y = np.bincount(idx[:, k], j.pmf[:, k] / p_y[k], z_alpha.size)
-        pt = blahut_arimoto(pz_given_y, d, slope, tol=tol, max_iters=max_iters)
+        pt = blahut_arimoto(pz_given_y, d, slope, max_iters=max_iters)
         rate += p_y[k] * pt.rate
         distortion += p_y[k] * pt.distortion
         gap += p_y[k] * pt.gap
@@ -478,12 +464,11 @@ def verify_dpi(chain: MarkovChainSpec, tol: float = 1e-9) -> DPIReport:
     return DPIReport(i_yxhat, i_yv, i_yxhat >= i_yv - tol)
 
 
-def random_joint(
-    rng: np.random.Generator, max_x: int = 8, max_y: int = 4
-) -> DiscreteJointSource:
-    """Seeded random joint source with small integer alphabets."""
-    nx = int(rng.integers(2, max_x + 1))
-    ny = int(rng.integers(1, max_y + 1))
+def random_joint(rng: np.random.Generator) -> DiscreteJointSource:
+    """Seeded random joint source: 2..8 letters of X from -8..8, 1..4 of Y
+    from -4..4."""
+    nx = int(rng.integers(2, 9))
+    ny = int(rng.integers(1, 5))
     x_alpha = np.sort(rng.choice(np.arange(-8, 9), size=nx, replace=False)).astype(float)
     y_alpha = np.sort(rng.choice(np.arange(-4, 5), size=ny, replace=False)).astype(float)
     pmf = rng.random((nx, ny)) + 1e-3

@@ -91,6 +91,15 @@ class TestEncodeDecode:
         assert main(["decode", "--in", str(bad), "--out", out]) == EXIT_USAGE
         assert not os.path.exists(out)
 
+    def test_zero_frame_stream_refused(self, tmp_path, capsys):
+        # The parser accepts a header that declares no frames; decode says so.
+        src = tmp_path / "empty.svhm"
+        src.write_bytes(ScalableBitstream(64, 64, 8, 2, 16, 8, 128).serialize())
+        out = tmp_path / "out.y4m"
+        assert main(["decode", "--in", str(src), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: stream holds no frames\n"
+        assert not out.exists()
+
     def test_corrupt_frame_partial_decode(self, encoded_bin, tmp_path, capsys):
         stream = ScalableBitstream.deserialize(open(encoded_bin, "rb").read())
         sig = bytearray(stream.frames[4].base_signal)
@@ -150,6 +159,14 @@ class TestEncodeDecode:
     def test_usage_error_exit_code(self):
         assert main(["encode"]) == EXIT_USAGE
         assert main(["no-such-command"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--block", "8"), ("--search", "4"), ("--fusion-weight", "0.25"),
+    ])
+    def test_fixed_encoder_settings_are_not_options(self, clip_y4m, tmp_path, flag, value):
+        out = tmp_path / "x.svhm"
+        assert main(["encode", "--in", clip_y4m, "--out", str(out), flag, value]) == EXIT_USAGE
+        assert not out.exists()
 
 
 class TestMetrics:
@@ -438,8 +455,7 @@ _REFUSALS = {
     "y4m-header": lambda d: [
         "encode", "--in", _file(d, "h.y4m", _HOSTILE_INPUTS["non_integer_width.y4m"][0])],
     "odd-size-decode": lambda d: ["decode", "--in", _odd_sized_stream(d)],
-    "codec-config": lambda d: ["encode", "--in", _clip(d, "c.y4m", 32),
-                               "--fusion-weight", "2"],
+    "codec-config": lambda d: ["encode", "--in", _clip(d, "c.y4m", 32), "--gop", "0"],
     "psnr-size-mismatch": lambda d: ["metrics", "--ref", _clip(d, "a.y4m", 32),
                                      "--in", _clip(d, "b.y4m", 64)],
     "bdrate-overlap": lambda d: [

@@ -513,8 +513,6 @@ class TestCodecConfig:
 
     @pytest.mark.parametrize("kw", [
         {"quality": 4}, {"quality": -1}, {"gop": 0}, {"gop": 256},
-        {"block": 12}, {"search": 0}, {"search": 200},
-        {"fusion_weight": -0.1}, {"fusion_weight": 1.2},
     ])
     def test_invalid_rejected(self, kw):
         with pytest.raises(ValueError):
@@ -645,17 +643,37 @@ class TestPipeline:
         assert (report.error is None) == (field == "enh_motion")
 
     def test_flow_residual_beyond_coder_support(self):
-        # Shifts of 0, +30 and -30 px: with search 64 the second base flow
-        # is about -60 against a prediction of about +30, a residual past
-        # the flow coder's support, which the encoder clamps.
+        # Shifts of 0, +30 and -30 px: a motion search wide enough to find
+        # them would code a base flow of about -60 against a prediction of
+        # about +30, past the flow coder's support.  The encoder's search
+        # range keeps every residual inside it.
         world = np.random.default_rng(3).uniform(0, 255, (3, 64, 124))
         clip = [Frame(world[:, :, x : x + 64], index=t)
                 for t, x in enumerate((30, 60, 0))]
-        stream, _ = encode_sequence(
-            clip, CodecConfig(quality=2, block=16, search=64, enhancement=False))
+        stream, _ = encode_sequence(clip, CodecConfig(quality=2, enhancement=False))
         dec, report = decode_sequence(
             ScalableBitstream.deserialize(stream.serialize()))
         assert report.error is None and len(dec) == 3
+
+    @pytest.mark.parametrize("block,search,fwq", [(8, 4, 0), (32, 20, 255)])
+    def test_decoder_honours_any_header_setting(self, monkeypatch, block, search, fwq):
+        # The encoder writes one motion block, search range and fusion byte;
+        # the decoder follows whatever a valid header declares.
+        from svhm.codec import pipeline
+        from svhm.evalkit import psnr_rgb
+        monkeypatch.setattr(pipeline, "MOTION_BLOCK", block)
+        monkeypatch.setattr(pipeline, "MOTION_SEARCH", search)
+        monkeypatch.setattr(pipeline, "FUSION_WEIGHT_Q", fwq)
+        clip = textured_scene(4, 64, 64, seed=2)
+        raw = encode_sequence(clip, CodecConfig(quality=1, gop=4))[0].serialize()
+        assert raw[13:18] == bytes([4, 1, block, search, fwq])
+        stream = ScalableBitstream.deserialize(raw)
+        enh, enh_report = decode_sequence(stream, "base+enh")
+        base, base_report = decode_sequence(stream, "base")
+        assert enh_report.error is None and base_report.error is None
+        assert len(enh) == len(base) == 4
+        for x, b, e in zip(clip, base, enh):
+            assert psnr_rgb(x, e) >= psnr_rgb(x, b)
 
     def test_base_only_encode(self, square_clip):
         stream, report = encode_sequence(

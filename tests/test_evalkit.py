@@ -294,6 +294,14 @@ class TestBDRate:
         with pytest.raises(ek.OverlapError, match="overlap"):
             ek.bd_rate(a, b)
 
+    def test_disjoint_curves_have_no_common_range(self):
+        a = curve()
+        b = ek.RDCurveTable("b", "PSNR", [(r, q + 20.0) for r, q in a.points])
+        with pytest.raises(ek.OverlapError) as exc:
+            ek.bd_rate(a, b)
+        assert str(exc.value) == ("no common quality range for PSNR: anchor spans "
+                                  "(30.0, 39.0), test spans (50.0, 59.0)")
+
     def test_msssim_overlap_threshold(self):
         mk = lambda lbl, qs: ek.RDCurveTable(
             lbl, "MS-SSIM", [(0.1 * 2 ** i, q) for i, q in enumerate(qs)])
