@@ -114,8 +114,8 @@ def cmd_metrics(args) -> int:
     if len(ref) != len(test):
         raise CommandError(f"frame count mismatch: {len(ref)} vs {len(test)}")
     rows = []
-    for a, b in zip(ref, test):
-        entry = {"frame": a.index, "psnr": evalkit.psnr_rgb(a, b)}
+    for t, (a, b) in enumerate(zip(ref, test)):
+        entry = {"frame": t, "psnr": evalkit.psnr_rgb(a, b)}
         if args.msssim:
             entry["msssim"] = evalkit.msssim_rgb(a, b)
         rows.append(entry)

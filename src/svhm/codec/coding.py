@@ -134,11 +134,11 @@ def _read(raw: bytes, params: LaplaceParamField, half_width: int) -> np.ndarray:
     return range_decode(Bitstream(raw, 8 * len(raw)), params, half_width=half_width)
 
 
-def _code_frame(target: np.ndarray, model, index: int):
+def _code_frame(target: np.ndarray, model):
     pred, offset, delta, params, keep = model
     kept = quantize(tf.forward((tf.blockify(target) - tf.blockify(pred))[:, keep]) / delta,
                     max_symbol=CODEC_SUPPORT)
-    frame = Frame(_reconstruct(kept, pred, offset, delta, keep), index)
+    frame = Frame(_reconstruct(kept, pred, offset, delta, keep))
     symbols = kept.reshape(-1, tf.BLOCK, tf.BLOCK)
     if not len(symbols):
         return b"", frame
@@ -151,7 +151,7 @@ def _code_frame(target: np.ndarray, model, index: int):
     ]), frame
 
 
-def _decode_frame(payload: bytes, model, index: int) -> Frame:
+def _decode_frame(payload: bytes, model) -> Frame:
     pred, offset, delta, params, keep = model
     symbols = np.zeros((3 * int(keep.sum()), tf.BLOCK, tf.BLOCK), dtype=np.int64)
     if len(symbols):
@@ -164,16 +164,16 @@ def _decode_frame(payload: bytes, model, index: int) -> Frame:
     elif payload:
         raise CorruptStreamError("payload for a frame without kept blocks")
     return Frame(_reconstruct(symbols.reshape(3, -1, tf.BLOCK, tf.BLOCK),
-                              pred, offset, delta, keep), index)
+                              pred, offset, delta, keep))
 
 
 def code_intra_frame(x: Frame, q: int):
     """Intra: zero predictor, alpha = 1, fixed per-band Laplace scales."""
-    return _code_frame(x.rgb, _intra_model(q, x.height, x.width), x.index)
+    return _code_frame(x.rgb, _intra_model(q, x.height, x.width))
 
 
-def decode_intra_frame(payload: bytes, q: int, height: int, width: int, index: int) -> Frame:
-    return _decode_frame(payload, _intra_model(q, height, width), index)
+def decode_intra_frame(payload: bytes, q: int, height: int, width: int) -> Frame:
+    return _decode_frame(payload, _intra_model(q, height, width))
 
 
 def _alpha_blocks(alpha: np.ndarray):
@@ -207,12 +207,12 @@ def code_inter_frame(x: Frame, xtilde: Frame, alpha: np.ndarray, q: int,
     """
     if alpha.shape != (x.height, x.width):
         raise ValueError("alpha map shape mismatch")
-    return _code_frame(alpha * x.rgb, _inter_model(xtilde, alpha, q, extra), x.index)
+    return _code_frame(alpha * x.rgb, _inter_model(xtilde, alpha, q, extra))
 
 
 def decode_inter_frame(payload: bytes, xtilde: Frame, alpha: np.ndarray, q: int,
-                       extra: Frame | None = None, index: int = 0) -> Frame:
-    return _decode_frame(payload, _inter_model(xtilde, alpha, q, extra), index)
+                       extra: Frame | None = None) -> Frame:
+    return _decode_frame(payload, _inter_model(xtilde, alpha, q, extra))
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +230,8 @@ def code_flow(flow: FlowField, vbar: FlowField) -> bytes:
     return range_encode(resid, params, half_width=FLOW_SUPPORT).data
 
 
-def decode_flow(payload: bytes, vbar: FlowField, block: int, search: int) -> FlowField:
+def decode_flow(payload: bytes, vbar: FlowField) -> FlowField:
     shape = (2,) + vbar.dx.shape
     params = LaplaceParamField(np.zeros(shape), _flow_scales(vbar))
     resid = _read(payload, params, FLOW_SUPPORT)
-    return FlowField(vbar.dx + resid[0], vbar.dy + resid[1], block, search)
+    return FlowField(vbar.dx + resid[0], vbar.dy + resid[1])

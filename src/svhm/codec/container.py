@@ -6,8 +6,8 @@ Layout (all integers little-endian):
     u8     version (2; other versions are refused)
     u16    width, u16 height
     u32    frame count
-    u8     gop, u8 quality, u8 block, u8 search
-    u8     fusion weight quantized as round(w * 255)
+    u8     gop, u8 quality, then three codec constants, refused if different:
+           u8 motion block 16, u8 search 8, u8 fusion weight round(0.5 * 255)
     per frame, four u32-length-prefixed sub-streams:
         base_motion, base_signal, enh_motion, enh_context
 
@@ -35,11 +35,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .modes import FUSION_WEIGHT_Q
+from .motion import MOTION_BLOCK, MOTION_SEARCH
 from .transform import QUALITY_STEPS
 
 _MAGIC = b"SVHM"
 _VERSION = 2
 MAX_PIXELS = 4096 * 2160
+# Header bytes 15..17: every version-2 stream carries these values.
+_PINNED = (("block", MOTION_BLOCK), ("search", MOTION_SEARCH), ("fusion weight", FUSION_WEIGHT_Q))
 
 
 class ContainerError(ValueError):
@@ -69,8 +73,8 @@ def unpack(raw: bytes, n: int) -> list[bytes]:
     return out
 
 
-def check_header_fields(quality: int, gop: int, block: int, search: int) -> None:
-    """Range check for the coding parameters a container header carries.
+def check_header_fields(quality: int, gop: int) -> None:
+    """Range check for the quality index and GOP a container header carries.
 
     Shared by the encoder's configuration and the parser, so a stream either
     decodes under the parameters it declares or is refused before frame 0.
@@ -80,10 +84,6 @@ def check_header_fields(quality: int, gop: int, block: int, search: int) -> None
             f"quality index {quality} outside 0..{len(QUALITY_STEPS) - 1}")
     if not 1 <= gop <= 255:
         raise ContainerError("gop must be in 1..255")
-    if block not in (8, 16, 32):
-        raise ContainerError("block must be 8, 16, or 32")
-    if not 1 <= search <= 127:
-        raise ContainerError("search must be in 1..127")
 
 
 def check_frame_size(width: int, height: int) -> None:
@@ -113,20 +113,13 @@ class ScalableBitstream:
     height: int
     gop: int
     quality: int
-    block: int
-    search: int
-    fusion_weight_q: int          # quantized fusion weight, 0..255
     frames: list[FrameRecord] = field(default_factory=list)
-
-    @property
-    def fusion_weight(self) -> float:
-        return self.fusion_weight_q / 255.0
 
     def serialize(self) -> bytes:
         return b"".join([
             _MAGIC, bytes([_VERSION]), self.width.to_bytes(2, "little"),
             self.height.to_bytes(2, "little"), len(self.frames).to_bytes(4, "little"),
-            bytes([self.gop, self.quality, self.block, self.search, self.fusion_weight_q]),
+            bytes([self.gop, self.quality] + [v for _, v in _PINNED]),
             pack([sub for rec in self.frames for sub in rec.substreams()])])
 
     @classmethod
@@ -138,17 +131,17 @@ class ScalableBitstream:
         width = int.from_bytes(raw[5:7], "little")
         height = int.from_bytes(raw[7:9], "little")
         count = int.from_bytes(raw[9:13], "little")
-        gop, quality, block, search, fwq = raw[13:18]
+        gop, quality = raw[13:15]
         check_frame_size(width, height)
-        check_header_fields(quality, gop, block, search)
+        check_header_fields(quality, gop)
+        for (name, want), got in zip(_PINNED, raw[15:18]):
+            if got != want:
+                raise ContainerError(f"{name} byte {got}: a version-2 stream carries {want}")
         subs = unpack(raw[18:], 4 * count)
-        return cls(width, height, gop, quality, block, search, fwq,
+        return cls(width, height, gop, quality,
                    [FrameRecord(*subs[i : i + 4]) for i in range(0, len(subs), 4)])
 
     def strip_enhancement(self) -> "ScalableBitstream":
         """Base-only copy: the scalability guarantee in container form."""
-        return ScalableBitstream(
-            self.width, self.height, self.gop, self.quality, self.block,
-            self.search, self.fusion_weight_q,
-            [FrameRecord(r.base_motion, r.base_signal) for r in self.frames],
-        )
+        return ScalableBitstream(self.width, self.height, self.gop, self.quality,
+                                 [FrameRecord(r.base_motion, r.base_signal) for r in self.frames])

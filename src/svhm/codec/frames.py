@@ -12,7 +12,6 @@ class Frame:
     """One video frame: a (3, H, W) float array of R, G, B planes in [0, 255]."""
 
     rgb: np.ndarray
-    index: int = 0
 
     def __post_init__(self):
         self.rgb = np.asarray(self.rgb, dtype=np.float64)
@@ -44,13 +43,13 @@ def rgb_to_ycbcr(frame: Frame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return y, cb, cr
 
 
-def ycbcr_to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray, index: int = 0) -> Frame:
+def ycbcr_to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> Frame:
     cb = cb - 128.0
     cr = cr - 128.0
     r = y + 1.402 * cr
     g = y - 0.344136 * cb - 0.714136 * cr
     b = y + 1.772 * cb
-    return Frame(np.clip(np.stack([r, g, b]), 0.0, 255.0), index)
+    return Frame(np.clip(np.stack([r, g, b]), 0.0, 255.0))
 
 
 def downsample2(plane: np.ndarray) -> np.ndarray:

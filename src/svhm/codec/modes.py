@@ -14,11 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import Frame
-from .motion import FlowField
+from .motion import MOTION_BLOCK, FlowField
 
 ALPHA_FLOOR = 0.02
 _ALPHA_NORM = 16.0   # mean local abs discrepancy mapping to alpha = 1
 _BETA_NORM = 4.0     # flow magnitude (pixels) mapping to beta = 1
+# The base frame's share of the enhancement layer's context, quantized as
+# round(0.5 * 255); every stream's header carries it.
+FUSION_WEIGHT_Q = 128
 
 
 @dataclass
@@ -47,7 +50,7 @@ def derive_mode_maps(prev: Frame, xbar: Frame, flow: FlowField) -> ModeMaps:
     """alpha from local predictor/previous-frame discrepancy, beta from
     local motion activity; both clamped, alpha floored at ALPHA_FLOOR."""
     h, w = prev.height, prev.width
-    mag = np.repeat(np.repeat(flow.magnitude(), flow.block, 0), flow.block, 1)[:h, :w]
+    mag = np.repeat(np.repeat(flow.magnitude(), MOTION_BLOCK, 0), MOTION_BLOCK, 1)[:h, :w]
     beta = np.clip(mag / _BETA_NORM, 0.0, 1.0)
     disc = box_filter5(np.abs(xbar.luma() - prev.luma()))
     alpha = np.clip(disc / _ALPHA_NORM, ALPHA_FLOOR, 1.0)
@@ -58,4 +61,4 @@ def combine_predictor(xbar: Frame, prev: Frame, m: ModeMaps) -> Frame:
     """Element-wise blend: beta * warped + (1 - beta) * previous frame."""
     if m.beta.shape != (xbar.height, xbar.width):
         raise ValueError("mode map shape does not match frames")
-    return Frame(m.beta * xbar.rgb + (1.0 - m.beta) * prev.rgb, xbar.index)
+    return Frame(m.beta * xbar.rgb + (1.0 - m.beta) * prev.rgb)

@@ -22,15 +22,8 @@ from ..range_coder import CorruptStreamError
 from . import coding
 from .container import FrameRecord, ScalableBitstream, check_frame_size, check_header_fields
 from .frames import Frame
-from .modes import combine_predictor, derive_mode_maps
+from .modes import FUSION_WEIGHT_Q, combine_predictor, derive_mode_maps
 from .motion import FlowField, compensate, estimate_motion
-
-
-# What every stream this encoder writes declares in its header.  The decoder
-# honours any block, search and fusion byte the parser accepts.
-MOTION_BLOCK = 16
-MOTION_SEARCH = 8
-FUSION_WEIGHT_Q = 128     # round(0.5 * 255): the base frame's share of the context
 
 
 @dataclass
@@ -40,7 +33,7 @@ class CodecConfig:
     enhancement: bool = True
 
     def __post_init__(self):
-        check_header_fields(self.quality, self.gop, MOTION_BLOCK, MOTION_SEARCH)
+        check_header_fields(self.quality, self.gop)
 
 
 @dataclass
@@ -80,9 +73,10 @@ class RateReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _fuse_context(base: Frame, warped_enh: Frame, w: float) -> Frame:
+def _fuse_context(base: Frame, warped_enh: Frame) -> Frame:
     """Enhancement-layer conditioning context."""
-    return Frame(w * base.rgb + (1.0 - w) * warped_enh.rgb, base.index)
+    w = FUSION_WEIGHT_Q / 255.0
+    return Frame(w * base.rgb + (1.0 - w) * warped_enh.rgb)
 
 
 def _closed_loop(stream: ScalableBitstream, intra, flow, residual, has_enh):
@@ -96,7 +90,7 @@ def _closed_loop(stream: ScalableBitstream, intra, flow, residual, has_enh):
     previous one of its GOP, the first by the zero field.
     """
     h, w = stream.height, stream.width
-    zero = FlowField.zero(h, w, stream.block, stream.search)
+    zero = FlowField.zero(h, w)
     prev_base: Frame | None = None
     prev_enh: Frame | None = None
     ones = np.ones((h, w))
@@ -116,8 +110,7 @@ def _closed_loop(stream: ScalableBitstream, intra, flow, residual, has_enh):
             ctx = base_hat
             if prev_enh is not None:
                 eflow = flow(t, rec, "enh_motion", prev_enh, zero)
-                ctx = _fuse_context(base_hat, compensate(prev_enh, eflow),
-                                    stream.fusion_weight)
+                ctx = _fuse_context(base_hat, compensate(prev_enh, eflow))
             out = prev_enh = residual(t, rec, "enh_context", ctx, ones, base_hat)
         prev_base = base_hat
         yield out
@@ -141,9 +134,7 @@ def encode_sequence(frames: list[Frame], config: CodecConfig) -> tuple[ScalableB
         raise ValueError("all frames must share one geometry")
     check_frame_size(w, h)
     t0 = time.perf_counter()
-    stream = ScalableBitstream(w, h, config.gop, config.quality, MOTION_BLOCK,
-                               MOTION_SEARCH, FUSION_WEIGHT_Q,
-                               [FrameRecord() for _ in frames])
+    stream = ScalableBitstream(w, h, config.gop, config.quality, [FrameRecord() for _ in frames])
     report = RateReport(w, h, len(frames))
 
     def intra(t, rec):
@@ -151,8 +142,7 @@ def encode_sequence(frames: list[Frame], config: CodecConfig) -> tuple[ScalableB
         return hat
 
     def flow(t, rec, field, ref, vbar):
-        # |v - vbar| <= 2 * search stays inside coding.FLOW_SUPPORT while search <= 32
-        v = estimate_motion(frames[t], ref, stream.block, stream.search)
+        v = estimate_motion(frames[t], ref)   # |v - vbar| <= 2 * MOTION_SEARCH < FLOW_SUPPORT
         setattr(rec, field, coding.code_flow(v, vbar))
         return v
 
@@ -191,14 +181,14 @@ def decode_sequence(stream: ScalableBitstream, layers: str = "base+enh") -> tupl
 
     def intra(t, rec):
         return coding.decode_intra_frame(sub(rec, "base_signal"), stream.quality,
-                                         stream.height, stream.width, t)
+                                         stream.height, stream.width)
 
     def flow(t, rec, field, ref, vbar):
-        return coding.decode_flow(sub(rec, field), vbar, stream.block, stream.search)
+        return coding.decode_flow(sub(rec, field), vbar)
 
     def residual(t, rec, field, pred, alpha, extra):
         return coding.decode_inter_frame(sub(rec, field), pred, alpha, stream.quality,
-                                         extra=extra, index=t)
+                                         extra=extra)
 
     out: list[Frame] = []
     try:

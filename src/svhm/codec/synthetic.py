@@ -22,7 +22,7 @@ def translating_square(frames: int = 30, size: int = 64, seed: int = 0) -> list[
         y0 = (8 + 2 * t) % (size - sq)
         x0 = (4 + 2 * t) % (size - sq)
         rgb[:, y0 : y0 + sq, x0 : x0 + sq] = np.reshape((220.0, 180.0, 90.0), (3, 1, 1))
-        out.append(Frame(rgb, t))
+        out.append(Frame(rgb))
     return out
 
 
@@ -54,5 +54,5 @@ def textured_scene(frames: int = 30, height: int = 144, width: int = 176,
         cy = 40 + (2 * t) % (height - 80)
         cx = 30 + (3 * t) % (width - 60)
         rgb[:, cy : cy + 24, cx : cx + 24] = np.reshape((230.0, 60.0, 40.0), (3, 1, 1))
-        out.append(Frame(rgb, t))
+        out.append(Frame(rgb))
     return out

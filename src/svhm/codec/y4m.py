@@ -53,7 +53,7 @@ def _read_frames(f, path, width: int, height: int, marked: bool) -> list[Frame]:
             raise Y4MError(f"{path}: truncated frame {len(frames)}")
         planes = np.frombuffer(buf, np.uint8).astype(np.float64)
         cb, cr = (upsample2(p) for p in planes[ysize:].reshape(2, height // 2, width // 2))
-        frames.append(ycbcr_to_rgb(planes[:ysize].reshape(height, width), cb, cr, len(frames)))
+        frames.append(ycbcr_to_rgb(planes[:ysize].reshape(height, width), cb, cr))
 
 
 def read_y4m(path) -> tuple[list[Frame], str]:

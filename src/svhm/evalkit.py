@@ -268,14 +268,19 @@ def relative_efficiency(bd_test: float, bd_reference: float) -> float:
 @dataclass(frozen=True)
 class BreakEvenResult:
     """phi = fraction of time human viewing can be requested before the
-    layered system loses its bit advantage; regime flags the boundary cases."""
+    layered system loses its bit advantage; regime flags the other cases.
+    In regime "above" the machine layer costs more bits than the reference
+    and the human layer fewer, so the layered system saves bits only when
+    human viewing is requested more than phi of the time."""
 
     phi: float
-    regime: str          # interior | always | never | degenerate
+    regime: str          # interior | above | always | never | degenerate
 
     def cell(self) -> str:
         if self.regime == "interior":
             return f"{self.phi:.2f}"
+        if self.regime == "above":
+            return f"above {self.phi:.2f}"
         return self.regime
 
 
@@ -291,7 +296,7 @@ def break_even(a: float, b: float) -> BreakEvenResult:
     if a > 1.0 and b >= 1.0:
         return BreakEvenResult(0.0, "never")
     phi = (1.0 - a) / (b - a)
-    return BreakEvenResult(min(max(phi, 0.0), 1.0), "interior")
+    return BreakEvenResult(min(max(phi, 0.0), 1.0), "above" if a > 1.0 else "interior")
 
 
 @dataclass

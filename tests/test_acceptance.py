@@ -259,7 +259,7 @@ def test_criterion_5_codec_invariants(clips):
     # (c) SKIP economy: a truly static clip spends < 1% of the intra-frame
     # signal bits on each inter frame of the base layer
     first = clips["square"][0]
-    static = [Frame(first.rgb.copy(), t) for t in range(30)]
+    static = [Frame(first.rgb.copy()) for _ in range(30)]
     _, rep = encode_sequence(static, CodecConfig(quality=2, gop=32,
                                                  enhancement=False))
     intra_bits = rep.frame_bits[0]["base_signal"]
@@ -280,9 +280,9 @@ def test_criterion_5_codec_invariants(clips):
 def test_criterion_6_mode_equations_exact():
     rng = np.random.default_rng(21)
     h = w = 32
-    mk = lambda idx: Frame(np.stack([rng.uniform(40, 215, (h, w)), rng.uniform(40, 215, (h, w)),
-                                     rng.uniform(40, 215, (h, w))]), idx)
-    xbar, prev, x, xt = mk(0), mk(0), mk(1), mk(0)
+    mk = lambda: Frame(np.stack([rng.uniform(40, 215, (h, w)), rng.uniform(40, 215, (h, w)),
+                                 rng.uniform(40, 215, (h, w))]))
+    xbar, prev, x, xt = mk(), mk(), mk(), mk()
     ones = np.ones((h, w))
 
     # beta = 1: predictor is exactly the warped frame

@@ -94,7 +94,7 @@ class TestEncodeDecode:
     def test_zero_frame_stream_refused(self, tmp_path, capsys):
         # The parser accepts a header that declares no frames; decode says so.
         src = tmp_path / "empty.svhm"
-        src.write_bytes(ScalableBitstream(64, 64, 8, 2, 16, 8, 128).serialize())
+        src.write_bytes(ScalableBitstream(64, 64, 8, 2).serialize())
         out = tmp_path / "out.y4m"
         assert main(["decode", "--in", str(src), "--out", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err == "error: stream holds no frames\n"
@@ -115,6 +115,7 @@ class TestEncodeDecode:
 
     @pytest.mark.parametrize("offset, value, field", [
         (14, 9, "quality"), (15, 7, "block"), (16, 0, "search"),
+        (15, 8, "block"), (16, 4, "search"), (17, 0, "fusion"),
     ])
     def test_out_of_range_header_refused(self, encoded_bin, tmp_path, capsys,
                                          offset, value, field):

@@ -36,9 +36,9 @@ from svhm.entropy_model import LaplaceParamField
 from svhm.range_coder import CorruptStreamError, range_encode
 
 
-def random_frame(rng, h=48, w=56, index=0):
+def random_frame(rng, h=48, w=56):
     return Frame(np.stack([rng.uniform(0, 255, (h, w)), rng.uniform(0, 255, (h, w)),
-                           rng.uniform(0, 255, (h, w))]), index)
+                           rng.uniform(0, 255, (h, w))]))
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +146,11 @@ class TestMotion:
     @given(h=st.integers(1, 70), w=st.integers(1, 70),
            block=st.sampled_from([8, 16, 32]), search=st.integers(1, 12),
            kind=st.sampled_from(["uniform", "flat", "small_int"]),
-           seed=st.integers(0, 2**32 - 1),
-           chunk=st.one_of(st.none(), st.integers(1, 40)))
-    def test_matches_reference_search(self, h, w, block, search, kind, seed, chunk):
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_search(self, h, w, block, search, kind, seed):
         # Flat and small-integer planes make many exact SAD ties, so the tie
-        # rule decides most blocks; ``chunk`` forces the candidate stack to
-        # be cut into chunks of that many candidates.
+        # rule decides most blocks.  The motion constants are patched to
+        # cover other block sizes and search ranges.
         rng = np.random.default_rng(seed)
 
         def plane():
@@ -163,10 +162,8 @@ class TestMotion:
 
         cur = Frame(np.stack([plane(), plane(), plane()]))
         ref = Frame(np.stack([plane(), plane(), plane()]))
-        nblocks = -(-h // block) * -(-w // block)
-        stack = motion._STACK_ELEMENTS if chunk is None else chunk * nblocks
-        with patch.object(motion, "_STACK_ELEMENTS", stack):
-            flow = estimate_motion(cur, ref, block, search)
+        with patch.multiple(motion, MOTION_BLOCK=block, MOTION_SEARCH=search):
+            flow = estimate_motion(cur, ref)
         dx, dy = reference_estimate_motion(cur, ref, block, search)
         assert np.array_equal(flow.dx, dx) and np.array_equal(flow.dy, dy)
 
@@ -175,16 +172,16 @@ class TestMotion:
     ], ids=["square", "textured"])
     def test_matches_reference_on_clips(self, clip):
         for cur, ref in zip(clip[1:], clip):
-            flow = estimate_motion(cur, ref, 16, 8)
+            flow = estimate_motion(cur, ref)
             dx, dy = reference_estimate_motion(cur, ref, 16, 8)
             assert np.array_equal(flow.dx, dx) and np.array_equal(flow.dy, dy)
 
     def test_pure_translation_recovered(self):
         rng = np.random.default_rng(5)
         big = rng.uniform(0, 255, (80, 80))
-        ref = Frame(np.stack([big[8:72, 8:72], big[8:72, 8:72], big[8:72, 8:72]]), 0)
-        cur = Frame(np.stack([big[5:69, 12:76], big[5:69, 12:76], big[5:69, 12:76]]), 1)
-        flow = estimate_motion(cur, ref, block=16, search=8)
+        ref = Frame(np.stack([big[8:72, 8:72], big[8:72, 8:72], big[8:72, 8:72]]))
+        cur = Frame(np.stack([big[5:69, 12:76], big[5:69, 12:76], big[5:69, 12:76]]))
+        flow = estimate_motion(cur, ref)
         # interior blocks must find the exact (-3, +4) shift
         assert np.all(flow.dy[1:-1, 1:-1] == -3)
         assert np.all(flow.dx[1:-1, 1:-1] == 4)
@@ -198,16 +195,16 @@ class TestMotion:
     def test_compensate_matches_shift(self):
         rng = np.random.default_rng(6)
         ref = random_frame(rng, 32, 32)
-        flow = FlowField(np.full((2, 2), 3), np.full((2, 2), -2), 16, 8)
+        flow = FlowField(np.full((2, 2), 3), np.full((2, 2), -2))
         out = compensate(ref, flow)
         # interior pixels: out[y, x] = ref[y - 2, x + 3]
         assert np.array_equal(out.rgb[0][4:28, 4:28], ref.rgb[0][2:26, 7:31])
 
     def test_flowfield_validation(self):
         with pytest.raises(ValueError):
-            FlowField(np.array([[9]]), np.array([[0]]), 16, 8)
+            FlowField(np.array([[9]]), np.array([[0]]))
         with pytest.raises(ValueError):
-            FlowField(np.zeros((2, 2)), np.zeros((3, 2)), 16, 8)
+            FlowField(np.zeros((2, 2)), np.zeros((3, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +226,11 @@ class TestModes:
     def test_alpha_range_and_floor(self):
         rng = np.random.default_rng(8)
         prev = random_frame(rng, 32, 32)
-        m = derive_mode_maps(prev, prev, FlowField.zero(32, 32, 16, 8))
+        m = derive_mode_maps(prev, prev, FlowField.zero(32, 32))
         assert np.all(m.alpha == ALPHA_FLOOR)     # identical frames: floor
         assert np.all(m.beta == 0.0)              # zero flow: no blend
         cur = random_frame(rng, 32, 32)
-        m2 = derive_mode_maps(prev, cur, FlowField.zero(32, 32, 16, 8))
+        m2 = derive_mode_maps(prev, cur, FlowField.zero(32, 32))
         assert np.all((ALPHA_FLOOR <= m2.alpha) & (m2.alpha <= 1.0))
 
     def test_combine_predictor_limits(self):
@@ -265,7 +262,7 @@ class TestCoding:
         x = random_frame(rng, 40, 40)
         for q in range(4):
             payload, recon = coding.code_intra_frame(x, q)
-            dec = coding.decode_intra_frame(payload, q, 40, 40, x.index)
+            dec = coding.decode_intra_frame(payload, q, 40, 40)
             assert dec.allclose(recon)                    # decoder == encoder state
             bound = tf.pixel_error_bound(tf.quality_step(q))
             assert recon.allclose(x, tol=bound + 1e-9)
@@ -284,35 +281,35 @@ class TestCoding:
         xt = random_frame(rng, 32, 32)
         x = Frame(np.stack([np.clip(xt.rgb[0] + rng.normal(0, 4, (32, 32)), 0, 255),
                             np.clip(xt.rgb[1] + rng.normal(0, 4, (32, 32)), 0, 255),
-                            np.clip(xt.rgb[2] + rng.normal(0, 4, (32, 32)), 0, 255)]), 1)
+                            np.clip(xt.rgb[2] + rng.normal(0, 4, (32, 32)), 0, 255)]))
         alpha = np.clip(rng.uniform(0, 1, (32, 32)), ALPHA_FLOOR, 1.0)
         payload, recon = coding.code_inter_frame(x, xt, alpha, 2)
-        dec = coding.decode_inter_frame(payload, xt, alpha, 2, index=1)
+        dec = coding.decode_inter_frame(payload, xt, alpha, 2)
         assert dec.allclose(recon)
 
     def test_all_skip_copies_predictor(self):
         rng = np.random.default_rng(14)
         xt = random_frame(rng, 32, 32)
-        x = random_frame(rng, 32, 32, index=1)
+        x = random_frame(rng, 32, 32)
         alpha = np.full((32, 32), ALPHA_FLOOR)
         payload, recon = coding.code_inter_frame(x, xt, alpha, 2)
         # every block skipped: reconstruction is the predictor (up to the
         # float rounding of alpha*p + (1 - alpha)*p)
         assert recon.allclose(Frame(np.clip(xt.rgb, 0.0, 255.0)), tol=1e-9)
-        dec = coding.decode_inter_frame(payload, xt, alpha, 2, index=1)
+        dec = coding.decode_inter_frame(payload, xt, alpha, 2)
         assert dec.allclose(recon)
 
     def test_all_skip_frame_has_empty_payload(self):
         rng = np.random.default_rng(18)
         xt = random_frame(rng, 32, 32)
-        x = random_frame(rng, 32, 32, index=1)
+        x = random_frame(rng, 32, 32)
         zero = np.zeros((32, 32))
         payload, recon = coding.code_inter_frame(x, xt, zero, 2)
         assert payload == b""
-        dec = coding.decode_inter_frame(payload, xt, zero, 2, index=1)
+        dec = coding.decode_inter_frame(payload, xt, zero, 2)
         assert all(np.array_equal(p, q) for p, q in zip(dec.rgb, recon.rgb))
         with pytest.raises(CorruptStreamError, match="without kept blocks"):
-            coding.decode_inter_frame(b"\x00", xt, zero, 2, index=1)
+            coding.decode_inter_frame(b"\x00", xt, zero, 2)
 
     def test_counts_0_1_and_64_roundtrip(self):
         # Three 8x8 blocks per plane: black (no nonzero coefficient, count
@@ -321,11 +318,11 @@ class TestCoding:
         basis = np.outer(tf.DCT[7], tf.DCT[7])
         plane = np.hstack([np.zeros((8, 8)), np.full((8, 8), 128.0),
                            128.0 + 200.0 * basis])
-        x = Frame(np.stack([plane, plane.copy(), plane.copy()]), 0)
-        black, ones = Frame(np.zeros((3, 8, 24)), 0), np.ones((8, 24))
+        x = Frame(np.stack([plane, plane.copy(), plane.copy()]))
+        black, ones = Frame(np.zeros((3, 8, 24))), np.ones((8, 24))
         for payload, recon, decode in [
             (*coding.code_intra_frame(x, 0),
-             lambda p: coding.decode_intra_frame(p, 0, 8, 24, 0)),
+             lambda p: coding.decode_intra_frame(p, 0, 8, 24)),
             (*coding.code_inter_frame(x, black, ones, 0),
              lambda p: coding.decode_inter_frame(p, black, ones, 0)),
         ]:
@@ -349,7 +346,7 @@ class TestCoding:
                          half_width=coding.CODEC_SUPPORT).data,
         ])
         with pytest.raises(CorruptStreamError, match="negative coefficient count"):
-            coding.decode_intra_frame(payload, 2, 32, 32, 0)
+            coding.decode_intra_frame(payload, 2, 32, 32)
         stream, _ = encode_sequence(translating_square(3, 32, seed=0),
                                     CodecConfig(quality=2, gop=2))
         stream.frames[2].base_signal = payload
@@ -361,7 +358,7 @@ class TestCoding:
         x = textured_scene(1, 32, 32, seed=0)[0]
         payload, _ = coding.code_intra_frame(x, 2)
         with pytest.raises(ValueError, match="trailing bytes"):
-            coding.decode_intra_frame(payload + b"junk", 2, 32, 32, 0)
+            coding.decode_intra_frame(payload + b"junk", 2, 32, 32)
         stream, _ = encode_sequence(textured_scene(3, 32, 32, seed=0),
                                     CodecConfig(quality=2, gop=2))
         stream.frames[1].base_signal += b"junk"
@@ -372,7 +369,7 @@ class TestCoding:
     def test_skip_blocks_cost_less(self):
         rng = np.random.default_rng(15)
         xt = random_frame(rng, 32, 32)
-        x = random_frame(rng, 32, 32, index=1)
+        x = random_frame(rng, 32, 32)
         live = np.full((32, 32), 0.8)
         skip = np.full((32, 32), ALPHA_FLOOR)
         p_live, _ = coding.code_inter_frame(x, xt, live, 2)
@@ -383,11 +380,11 @@ class TestCoding:
         rng = np.random.default_rng(16)
         ctx = random_frame(rng, 32, 32)
         base = random_frame(rng, 32, 32)
-        x = random_frame(rng, 32, 32, index=1)
+        x = random_frame(rng, 32, 32)
         ones = np.ones((32, 32))
         # q3's base step is 4.0, so the enhancement layer codes at 2.0
         payload, recon = coding.code_inter_frame(x, ctx, ones, 3, extra=base)
-        dec = coding.decode_inter_frame(payload, ctx, ones, 3, extra=base, index=1)
+        dec = coding.decode_inter_frame(payload, ctx, ones, 3, extra=base)
         assert dec.allclose(recon)
         assert recon.allclose(x, tol=tf.pixel_error_bound(2.0) + 1e-9)
 
@@ -396,10 +393,10 @@ class TestCoding:
         for _ in range(10):
             dx = rng.integers(-8, 9, (4, 5))
             dy = rng.integers(-8, 9, (4, 5))
-            flow = FlowField(dx, dy, 16, 8)
-            vbar = FlowField(rng.integers(-8, 9, (4, 5)), rng.integers(-8, 9, (4, 5)), 16, 8)
+            flow = FlowField(dx, dy)
+            vbar = FlowField(rng.integers(-8, 9, (4, 5)), rng.integers(-8, 9, (4, 5)))
             payload = coding.code_flow(flow, vbar)
-            out = coding.decode_flow(payload, vbar, 16, 8)
+            out = coding.decode_flow(payload, vbar)
             assert np.array_equal(out.dx, dx) and np.array_equal(out.dy, dy)
 
 
@@ -409,7 +406,7 @@ class TestCoding:
 
 class TestContainer:
     def make_stream(self):
-        return ScalableBitstream(176, 144, 32, 2, 16, 8, 128, [
+        return ScalableBitstream(176, 144, 32, 2, [
             FrameRecord(b"", b"intra-bytes", b"", b"enh0"),
             FrameRecord(b"mv1", b"sig1", b"emv1", b"enh1"),
         ])
@@ -426,10 +423,8 @@ class TestContainer:
         assert int.from_bytes(raw[5:7], "little") == 176
         assert int.from_bytes(raw[7:9], "little") == 144
         assert int.from_bytes(raw[9:13], "little") == 2
-
-    def test_fusion_weight_quantization(self):
-        s = self.make_stream()
-        assert s.fusion_weight == pytest.approx(128 / 255)
+        # gop, quality, then the motion block, search range and fusion byte
+        assert raw[13:18] == bytes([32, 2, 16, 8, 128])
 
     def test_bad_magic(self):
         with pytest.raises(ContainerError, match="magic"):
@@ -456,13 +451,13 @@ class TestContainer:
     ])
     def test_pixel_cap_refused(self, width, height):
         # Parsing only: a refused header must never reach an allocation.
-        raw = ScalableBitstream(width, height, 32, 2, 16, 8, 128).serialize()
+        raw = ScalableBitstream(width, height, 32, 2).serialize()
         with pytest.raises(ContainerError, match="pixel cap"):
             ScalableBitstream.deserialize(raw)
 
     @pytest.mark.parametrize("width, height", [(3840, 2160), (4096, 2160)])
     def test_uhd_header_accepted(self, width, height):
-        raw = ScalableBitstream(width, height, 32, 2, 16, 8, 128).serialize()
+        raw = ScalableBitstream(width, height, 32, 2).serialize()
         assert ScalableBitstream.deserialize(raw).width == width
 
     def test_encoder_shares_the_size_check(self, monkeypatch):
@@ -578,7 +573,7 @@ class TestPipeline:
 
     def test_mixed_geometry_rejected(self, square_clip):
         bad = square_clip[:2] + [Frame(np.stack([np.zeros((32, 32)), np.zeros((32, 32)),
-                                                 np.zeros((32, 32))]), 2)]
+                                                 np.zeros((32, 32))]))]
         with pytest.raises(ValueError):
             encode_sequence(bad, CodecConfig())
 
@@ -648,32 +643,11 @@ class TestPipeline:
         # about +30, past the flow coder's support.  The encoder's search
         # range keeps every residual inside it.
         world = np.random.default_rng(3).uniform(0, 255, (3, 64, 124))
-        clip = [Frame(world[:, :, x : x + 64], index=t)
-                for t, x in enumerate((30, 60, 0))]
+        clip = [Frame(world[:, :, x : x + 64]) for x in (30, 60, 0)]
         stream, _ = encode_sequence(clip, CodecConfig(quality=2, enhancement=False))
         dec, report = decode_sequence(
             ScalableBitstream.deserialize(stream.serialize()))
         assert report.error is None and len(dec) == 3
-
-    @pytest.mark.parametrize("block,search,fwq", [(8, 4, 0), (32, 20, 255)])
-    def test_decoder_honours_any_header_setting(self, monkeypatch, block, search, fwq):
-        # The encoder writes one motion block, search range and fusion byte;
-        # the decoder follows whatever a valid header declares.
-        from svhm.codec import pipeline
-        from svhm.evalkit import psnr_rgb
-        monkeypatch.setattr(pipeline, "MOTION_BLOCK", block)
-        monkeypatch.setattr(pipeline, "MOTION_SEARCH", search)
-        monkeypatch.setattr(pipeline, "FUSION_WEIGHT_Q", fwq)
-        clip = textured_scene(4, 64, 64, seed=2)
-        raw = encode_sequence(clip, CodecConfig(quality=1, gop=4))[0].serialize()
-        assert raw[13:18] == bytes([4, 1, block, search, fwq])
-        stream = ScalableBitstream.deserialize(raw)
-        enh, enh_report = decode_sequence(stream, "base+enh")
-        base, base_report = decode_sequence(stream, "base")
-        assert enh_report.error is None and base_report.error is None
-        assert len(enh) == len(base) == 4
-        for x, b, e in zip(clip, base, enh):
-            assert psnr_rgb(x, e) >= psnr_rgb(x, b)
 
     def test_base_only_encode(self, square_clip):
         stream, report = encode_sequence(
@@ -814,7 +788,7 @@ class TestY4M:
         from_y4m, rate = read_y4m(y4m)
         assert rate == "30:1" and len(from_raw) == len(from_y4m) == 3
         for a, b in zip(from_raw, from_y4m):
-            assert a.index == b.index and a.allclose(b)
+            assert a.allclose(b)
         raw.write_bytes(b"".join(frames)[:-1])
         with pytest.raises(Y4MError, match="truncated frame 2"):
             read_yuv420(raw, 64, 48)
@@ -855,7 +829,7 @@ def test_intra_roundtrip_property(seed):
     x = random_frame(rng, h, w)
     q = int(rng.integers(0, 4))
     payload, recon = coding.code_intra_frame(x, q)
-    dec = coding.decode_intra_frame(payload, q, h, w, 0)
+    dec = coding.decode_intra_frame(payload, q, h, w)
     assert dec.allclose(recon)
 
 
@@ -864,7 +838,7 @@ def test_intra_roundtrip_property(seed):
 def test_flow_roundtrip_property(seed):
     rng = np.random.default_rng(seed)
     shape = (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
-    flow = FlowField(rng.integers(-8, 9, shape), rng.integers(-8, 9, shape), 16, 8)
-    vbar = FlowField(rng.integers(-8, 9, shape), rng.integers(-8, 9, shape), 16, 8)
-    out = coding.decode_flow(coding.code_flow(flow, vbar), vbar, 16, 8)
+    flow = FlowField(rng.integers(-8, 9, shape), rng.integers(-8, 9, shape))
+    vbar = FlowField(rng.integers(-8, 9, shape), rng.integers(-8, 9, shape))
+    out = coding.decode_flow(coding.code_flow(flow, vbar), vbar)
     assert np.array_equal(out.dx, flow.dx) and np.array_equal(out.dy, flow.dy)

@@ -344,6 +344,14 @@ class TestBreakEven:
         res = ek.break_even(1.0, 1.3)
         assert res.phi == 0.0
 
+    def test_above(self):
+        # machine layer costlier, human layer cheaper: the layered system
+        # saves bits only when human viewing is requested more than phi,
+        # the mirror image of the interior case (0.8, 1.2)
+        res = ek.break_even(1.2, 0.8)
+        assert res.regime == "above" and res.phi == pytest.approx(0.5)
+        assert res.cell() == "above 0.50"
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             ek.break_even(0.0, 1.0)
