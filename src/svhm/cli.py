@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 an rdlab inequality violation, 2 refused input.  A
 refused input (a file, a header, a CSV or an option) is a ``ValueError`` or an
 ``OSError``; ``main()`` alone turns it into one ``error: ...`` line and exit 2.
 Any other exception is a bug and ends in a traceback.  Output files are written
-atomically (temp + rename); failed commands leave no partial output.
+atomically (temp + rename); failed commands leave no partial output, except
+``decode`` of a stream whose frame k > 0 is corrupt: it writes frames 0..k-1,
+prints ``partial decode: k frames (frame k: ...)`` instead and exits 2.
 """
 
 from __future__ import annotations

@@ -293,7 +293,7 @@ def break_even(a: float, b: float) -> BreakEvenResult:
         return BreakEvenResult(1.0, "degenerate")
     if a <= 1.0 and b <= 1.0:
         return BreakEvenResult(1.0, "always")
-    if a > 1.0 and b >= 1.0:
+    if a >= 1.0 and b >= 1.0:
         return BreakEvenResult(0.0, "never")
     phi = (1.0 - a) / (b - a)
     return BreakEvenResult(min(max(phi, 0.0), 1.0), "above" if a > 1.0 else "interior")

@@ -11,11 +11,12 @@ the first read past the bytes a valid stream could need, and refuses a
 payload whose length is not the one its encoder writes for the decoded
 symbols, so bytes appended to a valid stream are refused too.
 
-Integer CDF rows are cached.  The key is the exact float pair (mu, scale)
-after the scale floor, plus the support half-width, so a row is reused only
-where a fresh build would give the same integers.  The codec draws its
-parameters from a small fixed set (mu is 0 or the intra DC level, scales come
-from a quarter-octave palette), so a whole RD sweep needs a few dozen rows
+Integer CDF rows are cached.  A row is the shape around round(mu) (one
+rounding rule, ``entropy_model.quantize``), keyed by the exact floats
+(mu - round(mu), scale after the scale floor) plus the support half-width,
+so a row is reused only where a fresh build would give the same integers.
+Every codec mu is an integer and its scales come from a quarter-octave
+palette, so the codec needs at most one row per palette scale and half-width,
 while every plane would otherwise rebuild its own.  Generic float parameters
 take the same path; each distinct pair is built once per miss, in one
 vectorized batch per call.  The cache holds at most ``_CACHE_MAX_BYTES`` of
@@ -37,6 +38,7 @@ from .entropy_model import (
     LaplaceParamField,
     ShapeMismatchError,
     box_probability,
+    quantize,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -76,82 +78,77 @@ def _flush(low: int, rng: int) -> tuple[int, int]:
     return 8, low
 
 
-def _build_rows(mus: np.ndarray, scales: np.ndarray, half_width: int):
-    """Integer CDF rows for parallel 1-D arrays of (mu, scale).
+def _build_rows(fracs: np.ndarray, scales: np.ndarray, half_width: int) -> np.ndarray:
+    """Integer CDF rows for parallel 1-D arrays of (mu - round(mu), scale).
 
-    Returns (bases, cums): ``bases[i]`` is the lowest symbol of row i and
-    ``cums[i]`` its cumulative counts, length 2*half_width + 2 with a leading
-    0, so ``cums[i, -1]`` is the row's total.
+    Row i holds the cumulative counts of the symbols round(mu) - half_width ..
+    round(mu) + half_width, length 2*half_width + 2 with a leading 0, so
+    ``row[-1]`` is the row's total.
     """
     width = 2 * half_width + 1
-    n = mus.size
-    bases = (np.sign(mus) * np.floor(np.abs(mus) + 0.5)).astype(np.int64) - half_width
+    n = fracs.size
     cums = np.zeros((n, width + 1), dtype=np.int64)
     chunk = max(1, (1 << 22) // width)
-    offsets = np.arange(width, dtype=np.float64)
+    ks = np.arange(-half_width, half_width + 1, dtype=np.float64)[None, :]
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        ks = bases[lo:hi, None].astype(np.float64) + offsets[None, :]
-        probs = box_probability(ks, mus[lo:hi, None], scales[lo:hi, None])
+        probs = box_probability(ks, fracs[lo:hi, None], scales[lo:hi, None])
         counts = np.ceil(probs * _CDF_PRECISION).astype(np.int64)
         np.cumsum(counts, axis=1, out=cums[lo:hi, 1:])
-    return bases, cums
+    return cums
 
 
 class _CdfRowCache:
-    """Integer CDF rows keyed by (mu, scale, half_width), bounded in bytes."""
+    """Integer CDF rows keyed by (mu - round(mu), scale, half_width), bounded in bytes."""
 
     def __init__(self, max_bytes: int):
         self.max_bytes = max_bytes
         self.nbytes = 0
-        self._rows: dict[tuple[float, float, int], tuple[int, np.ndarray]] = {}
+        self._rows: dict[tuple[float, float, int], np.ndarray] = {}
 
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def lookup(self, mus: np.ndarray, scales: np.ndarray, half_width: int):
-        """(bases, cums) as :func:`_build_rows` gives them, for distinct pairs."""
-        keys = [(m, s, half_width) for m, s in zip(mus.tolist(), scales.tolist())]
-        found = [self._rows.get(k) for k in keys]
-        miss = [i for i, hit in enumerate(found) if hit is None]
+    def lookup(self, fracs: np.ndarray, scales: np.ndarray, half_width: int) -> np.ndarray:
+        """Rows as :func:`_build_rows` gives them, one per pair, even for no pairs."""
+        keys = [(f, s, half_width) for f, s in zip(fracs.tolist(), scales.tolist())]
+        rows = [self._rows.get(k) for k in keys]
+        miss = [i for i, row in enumerate(rows) if row is None]
         if miss:
-            m_bases, m_cums = _build_rows(mus[miss], scales[miss], half_width)
-            built = list(zip(m_bases.tolist(), m_cums))
-            for i, hit in zip(miss, built):
-                found[i] = hit
-            self._store([keys[i] for i in miss], built, m_cums.nbytes)
-        bases = np.array([hit[0] for hit in found], dtype=np.int64)
-        return bases, np.stack([hit[1] for hit in found])
+            built = _build_rows(fracs[miss], scales[miss], half_width)
+            for i, row in zip(miss, built):
+                rows[i] = row
+            self._store([keys[i] for i in miss], built)
+        return np.array(rows, dtype=np.int64).reshape(-1, 2 * half_width + 2)
 
-    def _store(self, keys, rows, nbytes: int) -> None:
+    def _store(self, keys, built: np.ndarray) -> None:
         # The rows are views of one batch array, which lives exactly as long
         # as its rows do, because the cache only ever drops all rows at once.
-        if nbytes > self.max_bytes:
+        if built.nbytes > self.max_bytes:
             return
-        if self.nbytes + nbytes > self.max_bytes:
+        if self.nbytes + built.nbytes > self.max_bytes:
             self._rows.clear()
             self.nbytes = 0
-        self._rows.update(zip(keys, rows))
-        self.nbytes += nbytes
+        self._rows.update(zip(keys, built))
+        self.nbytes += built.nbytes
 
 
 _ROW_CACHE = _CdfRowCache(_CACHE_MAX_BYTES)
 
 
 def _cdf_tables(params: LaplaceParamField, half_width: int):
-    """Integer CDFs for every distinct (mu, scale) pair in the field.
+    """Integer CDFs for every distinct (mu - round(mu), scale) pair in the field.
 
-    Returns (row_index_per_position, bases, cums) with ``bases`` and ``cums``
-    as from :func:`_build_rows`, one row per distinct pair.
+    Returns (row_index_per_position, lowest_symbol_per_position, cums), the
+    lowest symbol being round(mu) - half_width and ``cums`` as from
+    :func:`_build_rows`, one row per distinct pair.
     """
     mus = params.mu.ravel()
+    centres = quantize(mus)
     scales = np.maximum(params.scale.ravel(), SCALE_FLOOR)
-    mu_vals, mu_idx = np.unique(mus, return_inverse=True)
+    fr_vals, fr_idx = np.unique(mus - centres, return_inverse=True)
     sc_vals, sc_idx = np.unique(scales, return_inverse=True)
-    pair, inv = np.unique(mu_idx * sc_vals.size + sc_idx, return_inverse=True)
-    bases, cums = _ROW_CACHE.lookup(
-        mu_vals[pair // sc_vals.size], sc_vals[pair % sc_vals.size], half_width)
-    return inv.ravel(), bases, cums
+    pair, inv = np.unique(fr_idx * sc_vals.size + sc_idx, return_inverse=True)
+    cums = _ROW_CACHE.lookup(
+        fr_vals[pair // sc_vals.size], sc_vals[pair % sc_vals.size], half_width)
+    return inv.ravel(), centres - half_width, cums
 
 
 def _check_value(symbols: np.ndarray) -> int:
@@ -178,13 +175,11 @@ def range_encode(
             f"symbol {int(flat[bad])} at flat index {bad} outside mu +/- {half_width}"
         )
 
-    cum_low, freq, total = [], [], []
-    if flat.size:
-        inv, bases, cums = _cdf_tables(params, half_width)
-        j = flat - bases[inv]
-        lo = cums[inv, j]
-        cum_low, freq, total = (lo.tolist(), (cums[inv, j + 1] - lo).tolist(),
-                                cums[inv, -1].tolist())
+    inv, bases, cums = _cdf_tables(params, half_width)
+    j = flat - bases
+    lo = cums[inv, j]
+    cum_low, freq, total = (lo.tolist(), (cums[inv, j + 1] - lo).tolist(),
+                            cums[inv, -1].tolist())
     # The checksum is the last symbol: frequency 1 of a uniform 16-bit total.
     cum_low.append(_check_value(flat))
     freq.append(1)
@@ -222,23 +217,19 @@ def range_decode(
     cannot see them.
     """
     n = params.mu.size
-    inv, tabs = [], []
-    if n:
-        inv_rows, bases, cums = _cdf_tables(params, half_width)
-        lo, hi = max(half_width - 1, 0), min(half_width + 2, 2 * half_width + 1)
-        inv = inv_rows.tolist()
-        # Per row: its total, the cumulative counts bounding round(mu) - 1,
-        # round(mu) (index half_width) and round(mu) + 1, which hold most
-        # positions, clamped to the row for small half-widths, and a slot for
-        # the whole row as a list, filled when the row is first bisected.
-        tabs = [[*b, None] for b in zip(cums[:, -1].tolist(), cums[:, lo].tolist(),
-                                        cums[:, half_width].tolist(),
-                                        cums[:, half_width + 1].tolist(),
-                                        cums[:, hi].tolist())]
+    inv, bases, cums = _cdf_tables(params, half_width)
+    lo, hi = max(half_width - 1, 0), min(half_width + 2, 2 * half_width + 1)
+    # Per row: its total, the cumulative counts bounding round(mu) - 1,
+    # round(mu) (index half_width) and round(mu) + 1, which hold most
+    # positions, clamped to the row for small half-widths, and the whole row
+    # as a list for the bisect.
+    tabs = list(zip(cums[:, -1].tolist(), cums[:, lo].tolist(),
+                    cums[:, half_width].tolist(), cums[:, half_width + 1].tolist(),
+                    cums[:, hi].tolist(), cums.tolist()))
     # The checksum row is uniform, so its bisect index is the symbol itself;
     # its empty fast-path bounds send every target to the bisect.
-    inv.append(len(tabs))
-    tabs.append([_CHECK_TOTAL, 0, 0, 0, 0, range(_CHECK_TOTAL + 1)])
+    inv = [*inv.tolist(), len(tabs)]
+    tabs.append((_CHECK_TOTAL, 0, 0, 0, 0, range(_CHECK_TOTAL + 1)))
     js = [half_width] * n + [0]
     below, above = half_width - 1, half_width + 1
     # The decoder reads 8 bytes ahead of the encoder: at renormalization
@@ -251,8 +242,7 @@ def range_decode(
     code, rng, pos = int.from_bytes(data[:8], "big"), _MASK64, 8
     try:
         for i, u in enumerate(inv):
-            tab = tabs[u]
-            total, a, b, c, e, row = tab
+            total, a, b, c, e, row = tabs[u]
             r = rng // total
             t = code // r
             if b <= t < c:
@@ -268,8 +258,6 @@ def range_decode(
             else:
                 if t >= total:
                     raise CorruptStreamError("decoded target outside the coded total")
-                if row is None:
-                    row = tab[5] = cums[u].tolist()
                 j = bisect_right(row, t) - 1
                 c = row[j]
                 rng = r * (row[j + 1] - c)
@@ -281,9 +269,7 @@ def range_decode(
                 rng <<= 8
     except IndexError:
         raise CorruptStreamError("stream exhausted: decoder read past the payload") from None
-    symbols = np.array(js[:n], dtype=np.int64)
-    if n:
-        symbols += bases[inv_rows]
+    symbols = np.array(js[:n], dtype=np.int64) + bases
     if js[n] != _check_value(symbols):
         raise CorruptStreamError("checksum mismatch: stream truncated or corrupted")
     # The decoder's code is the 8-byte window at its read position minus the

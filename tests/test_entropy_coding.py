@@ -20,6 +20,8 @@ from svhm.entropy_model import (
     quantize,
 )
 from svhm import range_coder
+from svhm.codec import CodecConfig, decode_sequence, encode_sequence
+from svhm.codec.synthetic import textured_scene
 from svhm.codec.transform import QUALITY_STEPS
 from svhm.range_coder import CorruptStreamError, SupportError, range_decode, range_encode
 
@@ -284,7 +286,7 @@ def fresh_row(mu, scale, half_width):
 
 def table_rows(params, half_width):
     inv, bases, cums = range_coder._cdf_tables(params, half_width)
-    return [(int(bases[u]), cums[u]) for u in inv]
+    return [(int(base), cums[u]) for base, u in zip(bases, inv)]
 
 
 class TestCdfRowCache:
@@ -328,10 +330,47 @@ class TestCdfRowCache:
             bs = range_encode(symbols, field)
             assert np.array_equal(range_decode(bs, field), symbols)
             assert cache.nbytes <= cache.max_bytes
-        assert cache.nbytes == sum(row.nbytes for _, row in cache._rows.values())
+        assert cache.nbytes == sum(row.nbytes for row in cache._rows.values())
         # one batch larger than the bound is used but not kept
         n = cache.max_bytes // (130 * 8) + 1
         field = LaplaceParamField(rng.uniform(-20, 20, n), rng.uniform(0.04, 10.0, n))
-        before = len(cache)
+        before = len(cache._rows)
         range_decode(range_encode(np.round(field.mu).astype(np.int64), field), field)
-        assert len(cache) <= before and cache.nbytes <= cache.max_bytes
+        assert len(cache._rows) <= before and cache.nbytes <= cache.max_bytes
+
+    @pytest.fixture
+    def empty_cache(self, monkeypatch):
+        cache = range_coder._CdfRowCache(range_coder._CACHE_MAX_BYTES)
+        monkeypatch.setattr(range_coder, "_ROW_CACHE", cache)
+        return cache
+
+    def test_integer_mus_share_one_row(self, monkeypatch, empty_cache):
+        # one shape placed at 1,001 integer centres: keyed on absolute mu the
+        # batch would be 16 MB, past the bound, and rebuilt on every call
+        built = []
+        build = range_coder._build_rows
+
+        def spy(fracs, scales, half_width):
+            built.append(fracs.size)
+            return build(fracs, scales, half_width)
+
+        monkeypatch.setattr(range_coder, "_build_rows", spy)
+        mu = np.arange(-500, 501, dtype=np.float64)
+        field = LaplaceParamField(mu, np.full(mu.size, 3.0))
+        symbols = mu.astype(np.int64) + np.random.default_rng(5).integers(-30, 31, mu.size)
+        bs = range_encode(symbols, field, half_width=1024)
+        assert np.array_equal(range_decode(bs, field, half_width=1024), symbols)
+        assert sum(built) == 1 and len(empty_cache._rows) == 1
+        rows = table_rows(field, 1024)
+        for i in (0, 500, 1000):
+            base, row = fresh_row(mu[i], 3.0, 1024)
+            assert rows[i][0] == base and np.array_equal(rows[i][1], row)
+
+    def test_codec_rows_have_integer_centres(self, empty_cache):
+        frames = textured_scene(8, 144, 176, seed=1)
+        for q in range(4):
+            stream, _ = encode_sequence(frames, CodecConfig(quality=q, gop=4))
+            _, report = decode_sequence(stream)
+            assert report.error is None
+        assert empty_cache._rows
+        assert all(frac == 0.0 for frac, _, _ in empty_cache._rows)

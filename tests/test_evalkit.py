@@ -340,9 +340,11 @@ class TestBreakEven:
 
     def test_boundary_a_one(self):
         # machine layer exactly breaks even, human layer costs more:
-        # any human viewing loses, so phi = 0 on the interior formula
-        res = ek.break_even(1.0, 1.3)
-        assert res.phi == 0.0
+        # (1 - phi) * 1 + phi * b >= 1 for every phi, so the layered system
+        # never saves bits, the same as the mirror (2.0, 1.0)
+        for a, b in ((1.0, 1.3), (1.0, 2.0), (2.0, 1.0)):
+            res = ek.break_even(a, b)
+            assert (res.phi, res.regime, res.cell()) == (0.0, "never", "never")
 
     def test_above(self):
         # machine layer costlier, human layer cheaper: the layered system
