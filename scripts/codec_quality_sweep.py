@@ -3,7 +3,8 @@
 
 Input is a Y4M file, or a built-in synthetic clip when no input is given.
 Writes an RD curve CSV usable by the bdrate command and prints a summary
-table with base-only and base+enhancement numbers.
+table with base-only and base+enhancement numbers.  MS-SSIM reads "n/a" for
+a clip with a side under 144 px, too small for its five scales.
 """
 
 import argparse
@@ -15,6 +16,14 @@ from svhm.codec import CodecConfig, decode_sequence, encode_sequence
 from svhm.codec.synthetic import textured_scene
 from svhm.codec.y4m import read_y4m
 from svhm.evalkit import RDCurveTable, msssim_rgb, psnr_rgb, write_rd_csv
+
+
+def mean_msssim(clip, dec) -> str:
+    """Mean MS-SSIM as table text; "n/a" when a side is too small for five scales."""
+    try:
+        return f"{np.mean([msssim_rgb(a, b) for a, b in zip(clip, dec)]):.4f}"
+    except ValueError:
+        return "n/a"
 
 
 def main() -> int:
@@ -38,10 +47,9 @@ def main() -> int:
         for layers in ("base", "base+enh"):
             dec, _ = decode_sequence(stream, layers)
             psnr = float(np.mean([psnr_rgb(a, b) for a, b in zip(clip, dec)]))
-            ssim = float(np.mean([msssim_rgb(a, b) for a, b in zip(clip, dec)]))
             bpp = report.bpp(layers)
             rows[layers].append((bpp, psnr))
-            print(f"{q:>2} {layers:>9} {bpp:8.4f} {psnr:7.2f} {ssim:8.4f}")
+            print(f"{q:>2} {layers:>9} {bpp:8.4f} {psnr:7.2f} {mean_msssim(clip, dec):>8}")
 
     curves = [RDCurveTable(layers, "PSNR", sorted(pts)) for layers, pts in rows.items()]
     write_rd_csv(args.out, curves)

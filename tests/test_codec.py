@@ -167,6 +167,35 @@ class TestMotion:
         dx, dy = reference_estimate_motion(cur, ref, block, search)
         assert np.array_equal(flow.dx, dx) and np.array_equal(flow.dy, dy)
 
+    @pytest.mark.parametrize("kind", ["uniform", "flat", "small_int"])
+    @pytest.mark.parametrize("block", [8, 16, 32])
+    def test_sad_grids_are_numpys_block_sums(self, block, kind):
+        # Every candidate's SAD grid, not only the winner, must equal numpy's
+        # reduction bit for bit.  On uniform planes a float sum depends on its
+        # order, so reordering any addition of the kernel fails here; sides
+        # 1..17 give frames one block wide, where numpy sums a block as one run.
+        rng = np.random.default_rng(block)
+        search = motion.MOTION_SEARCH
+        sides = (1, 15, 16, 17, 33, 70)
+        for h in sides:
+            for w in sides:
+                if kind == "uniform":
+                    cl, rl = rng.uniform(0, 255, (2, h, w))
+                elif kind == "flat":
+                    cl, rl = np.full((2, h, w), float(rng.integers(0, 256)))
+                else:
+                    cl, rl = rng.integers(0, 3, (2, h, w)).astype(np.float64)
+                with patch.object(motion, "MOTION_BLOCK", block):
+                    grids = motion._sad_grids(cl, rl)
+                nby, nbx = -(-h // block), -(-w // block)
+                padded_ref = np.pad(rl, search, mode="edge")
+                for dy in range(2 * search + 1):
+                    for dx in range(2 * search + 1):
+                        err = np.abs(cl - padded_ref[dy : dy + h, dx : dx + w])
+                        err = np.pad(err, ((0, nby * block - h), (0, nbx * block - w)))
+                        want = err.reshape(nby, block, nbx, block).sum(axis=(1, 3))
+                        assert grids[dy, dx].tobytes() == want.tobytes(), (h, w, dy, dx)
+
     @pytest.mark.parametrize("clip", [
         translating_square(3, 64, seed=3), textured_scene(3, 48, 56, seed=1),
     ], ids=["square", "textured"])
