@@ -5,6 +5,10 @@ Sweeps Lagrangian slopes on seeded random (X, Y) joints, writing per-slope
 conditional and residual RD points plus the cost margins to CSV, and prints
 a summary of the worst margin observed (negative would mean conditional
 coding lost to residual coding somewhere, which should never happen).
+Slopes are log-spaced over 0.01..10, as in ``svhm rdlab``.
+
+Exit codes: 0 every margin holds, 1 a margin below -1e-6, 2 a bad argument
+(one ``error:`` line, no CSV written).
 """
 
 import argparse
@@ -20,14 +24,17 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--joints", type=int, default=20)
     ap.add_argument("--slopes", type=int, default=10)
-    ap.add_argument("--slope-min", type=float, default=0.01)
-    ap.add_argument("--slope-max", type=float, default=10.0)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="rd_sweep.csv")
     args = ap.parse_args()
+    for name, value, low in (("joints", args.joints, 1), ("slopes", args.slopes, 1),
+                             ("seed", args.seed, 0)):
+        if value < low:
+            print(f"error: --{name} must be at least {low}, got {value}", file=sys.stderr)
+            return 2
 
     rng = np.random.default_rng(args.seed)
-    slopes = np.geomspace(args.slope_min, args.slope_max, args.slopes)
+    slopes = np.geomspace(0.01, 10.0, args.slopes)
     worst = np.inf
     with open(args.out, "w", newline="") as f:
         wr = csv.writer(f)

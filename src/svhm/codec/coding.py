@@ -10,8 +10,9 @@ the zigzag index of its last nonzero coefficient (0 for an all-zero block),
 and then only its first ``count`` coefficients in zigzag order; the decoder
 fills the rest with zeros.  The count has one fixed model, Laplace mu 0,
 scale ``_COUNT_SCALE``, half-width ``COUNT_SUPPORT``, so it needs one cached
-CDF row and no side information.  Sub-streams are raw range-coder bytes; the
-coder's bit count is always 8 times their length, so it is not stored.
+CDF row and no side information.  Sub-streams are the range coder's bytes.
+Its ``SupportError`` is the one bound on coded symbols: pixels in [0, 255]
+keep a coefficient within 8 * 255 / 2 = 1020 < ``CODEC_SUPPORT`` at step 2.
 
 The enhancement layer's quantization step is decided here and nowhere else:
 an inter-frame call with ``extra`` (the decoded base frame) codes at half the
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..entropy_model import SCALE_FLOOR, Bitstream, LaplaceParamField, quantize
+from ..entropy_model import SCALE_FLOOR, LaplaceParamField, quantize
 from ..range_coder import CorruptStreamError, range_decode, range_encode
 from .container import pack, unpack
 from .frames import Frame
@@ -130,14 +131,9 @@ def _count_params(n: int) -> LaplaceParamField:
     return LaplaceParamField(np.zeros(n), np.full(n, _COUNT_SCALE))
 
 
-def _read(raw: bytes, params: LaplaceParamField, half_width: int) -> np.ndarray:
-    return range_decode(Bitstream(raw, 8 * len(raw)), params, half_width=half_width)
-
-
 def _code_frame(target: np.ndarray, model):
     pred, offset, delta, params, keep = model
-    kept = quantize(tf.forward((tf.blockify(target) - tf.blockify(pred))[:, keep]) / delta,
-                    max_symbol=CODEC_SUPPORT)
+    kept = quantize(tf.forward((tf.blockify(target) - tf.blockify(pred))[:, keep]) / delta)
     frame = Frame(_reconstruct(kept, pred, offset, delta, keep))
     symbols = kept.reshape(-1, tf.BLOCK, tf.BLOCK)
     if not len(symbols):
@@ -146,8 +142,8 @@ def _code_frame(target: np.ndarray, model):
     counts = ((symbols[:, _ZZ_ROW, _ZZ_COL] != 0) * np.arange(1, _COEFFS + 1)).max(axis=1)
     scan = _scan(counts)
     return pack([
-        range_encode(counts, _count_params(counts.size), half_width=COUNT_SUPPORT).data,
-        range_encode(symbols[scan], _coded_params(params, scan), half_width=CODEC_SUPPORT).data,
+        range_encode(counts, _count_params(counts.size), half_width=COUNT_SUPPORT),
+        range_encode(symbols[scan], _coded_params(params, scan), half_width=CODEC_SUPPORT),
     ]), frame
 
 
@@ -156,11 +152,12 @@ def _decode_frame(payload: bytes, model) -> Frame:
     symbols = np.zeros((3 * int(keep.sum()), tf.BLOCK, tf.BLOCK), dtype=np.int64)
     if len(symbols):
         count_raw, coeff_raw = unpack(payload, 2)
-        counts = _read(count_raw, _count_params(len(symbols)), COUNT_SUPPORT)
+        counts = range_decode(count_raw, _count_params(len(symbols)), half_width=COUNT_SUPPORT)
         if counts.min() < 0:
             raise CorruptStreamError("negative coefficient count")
         scan = _scan(counts)
-        symbols[scan] = _read(coeff_raw, _coded_params(params, scan), CODEC_SUPPORT)
+        symbols[scan] = range_decode(coeff_raw, _coded_params(params, scan),
+                                     half_width=CODEC_SUPPORT)
     elif payload:
         raise CorruptStreamError("payload for a frame without kept blocks")
     return Frame(_reconstruct(symbols.reshape(3, -1, tf.BLOCK, tf.BLOCK),
@@ -227,11 +224,11 @@ def _flow_scales(vbar: FlowField) -> np.ndarray:
 def code_flow(flow: FlowField, vbar: FlowField) -> bytes:
     resid = np.stack([flow.dx - vbar.dx, flow.dy - vbar.dy])
     params = LaplaceParamField(np.zeros_like(resid, dtype=np.float64), _flow_scales(vbar))
-    return range_encode(resid, params, half_width=FLOW_SUPPORT).data
+    return range_encode(resid, params, half_width=FLOW_SUPPORT)
 
 
 def decode_flow(payload: bytes, vbar: FlowField) -> FlowField:
     shape = (2,) + vbar.dx.shape
     params = LaplaceParamField(np.zeros(shape), _flow_scales(vbar))
-    resid = _read(payload, params, FLOW_SUPPORT)
+    resid = range_decode(payload, params, half_width=FLOW_SUPPORT)
     return FlowField(vbar.dx + resid[0], vbar.dy + resid[1])

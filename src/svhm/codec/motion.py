@@ -49,14 +49,14 @@ def estimate_motion(cur: Frame, ref: Frame) -> FlowField:
 
     Every SAD is a float sum in one fixed order, so the ties are bit-exact.
     A block's |cur - ref|, zero past the frame's edge up to whole blocks, is
-    summed in runs: a run is one block row, or the whole block in raster
-    order when the frame is one block wide.
+    summed in runs of one block row each:
 
-    1. Over a run of n <= 128 pixels, lane j accumulates pixels j, j + 8,
-       j + 16, ...; a longer run is split into two halves, each a multiple of
-       8 pixels long, whose sums are added.
+    1. Over a run, lane j accumulates pixels j, j + 8, j + 16, ...
     2. The eight lanes combine as ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)).
     3. The block's run sums are added top to bottom.
+
+    A frame one block wide is summed by numpy itself, each block as one
+    contiguous run in raster order.
 
     This is numpy's pairwise order (Higham, SIAM J. Sci. Comput. 14(4), 1993)
     for ``err.reshape(nby, block, nbx, block).sum(axis=(1, 3))``, and the
@@ -118,22 +118,17 @@ def _sad_grids(cl: np.ndarray, rl: np.ndarray) -> np.ndarray:
                 rows = _pairwise(e).reshape(g, nby, block, nbx)
                 np.add.reduce(rows, axis=2, out=sads[dy : dy + g, dx])
             else:
-                # one run per block: pixel (y, c) of the block is term y * block + c
-                runs = e[..., 0].reshape(block, g, nby, block).transpose(3, 0, 1, 2)
-                sads[dy : dy + g, dx, :, 0] = _pairwise(runs.reshape(block * block, g, nby))
+                # numpy's own block sum: pixel (y, c) of a block is term y * block + c
+                runs = e[..., 0].transpose(1, 2, 0).reshape(g, nby, block * block)
+                sads[dy : dy + g, dx, :, 0] = runs.sum(axis=-1)
     return sads
 
 
 def _pairwise(terms: np.ndarray) -> np.ndarray:
-    """numpy's pairwise sum over axis 0 (a multiple of 8 long), overwriting ``terms``."""
-    n = len(terms)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        total = _pairwise(terms[:half])
-        total += _pairwise(terms[half:])
-        return total
+    """numpy's pairwise sum over axis 0 (a multiple of 8, at most 128 long),
+    overwriting ``terms``."""
     lanes = terms[:8]
-    for i in range(8, n, 8):
+    for i in range(8, len(terms), 8):
         lanes += terms[i : i + 8]
     for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
         lanes[a] += lanes[b]

@@ -38,6 +38,10 @@ class CodecConfig:
 
 @dataclass
 class RateReport:
+    """Per-frame sub-stream bits.  ``bpp`` counts the four sub-streams' bytes,
+    each signal sub-stream's two inner u32 lengths included, but not the
+    18-byte header or the container's u32 lengths."""
+
     width: int
     height: int
     frame_count: int

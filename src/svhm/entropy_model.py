@@ -23,10 +23,6 @@ class ShapeMismatchError(ValueError):
     pass
 
 
-class SymbolBoundError(ValueError):
-    pass
-
-
 @dataclass
 class LaplaceParamField:
     """Per-element Laplace location and scale for a plane of symbols."""
@@ -45,16 +41,12 @@ class LaplaceParamField:
             raise ValueError(f"scales must be >= {SCALE_FLOOR}")
 
 
-@dataclass
-class Bitstream:
-    """Range-coder payload plus its exact bit count."""
+class Bitstream(bytes):
+    """Range-coder payload: plain bytes, whose bit count is 8 times its length."""
 
-    data: bytes
-    bit_length: int
-
-    def __post_init__(self):
-        if self.bit_length > 8 * len(self.data):
-            raise ValueError("bit_length exceeds payload size")
+    @property
+    def bit_length(self) -> int:
+        return 8 * len(self)
 
 
 def laplace_cdf(x, mu, b):
@@ -87,15 +79,9 @@ def estimate_rate(symbols: np.ndarray, params: LaplaceParamField) -> float:
     return float(np.sum(-np.log2(p)))
 
 
-def quantize(x: np.ndarray, max_symbol: int | None = None) -> np.ndarray:
+def quantize(x: np.ndarray) -> np.ndarray:
     """Round half away from zero to integer symbols."""
     x = np.asarray(x, dtype=np.float64)
     if np.any(~np.isfinite(x)):
         raise ValueError("cannot quantize non-finite values")
-    s = np.sign(x) * np.floor(np.abs(x) + 0.5)
-    if max_symbol is not None and np.any(np.abs(s) > max_symbol):
-        idx = tuple(int(v) for v in np.unravel_index(int(np.argmax(np.abs(s))), s.shape))
-        raise SymbolBoundError(
-            f"symbol {int(s[idx])} at index {idx} exceeds bound {max_symbol}"
-        )
-    return s.astype(np.int64)
+    return (np.sign(x) * np.floor(np.abs(x) + 0.5)).astype(np.int64)

@@ -201,20 +201,20 @@ def range_encode(
         _carry(out)
         v &= _MASK64
     out += v.to_bytes(8, "big")[:k]
-    return Bitstream(bytes(out), 8 * len(out))
+    return Bitstream(out)
 
 
 def range_decode(
-    bs: Bitstream,
+    payload: bytes,
     params: LaplaceParamField,
     half_width: int = SUPPORT_HALF_WIDTH,
 ) -> np.ndarray:
     """Inverse of :func:`range_encode`; exact or raises CorruptStreamError.
 
-    Reads ``bs.data`` only.  A payload is refused unless it is exactly as
-    long as the encoder writes it for the decoded symbols: bytes appended to
-    a valid stream need not change one decoded symbol, so the checksum alone
-    cannot see them.
+    ``payload`` is any bytes, such as a sub-stream read from a container.  It
+    is refused unless it is exactly as long as the encoder writes it for the
+    decoded symbols: bytes appended to a valid stream need not change one
+    decoded symbol, so the checksum alone cannot see them.
     """
     n = params.mu.size
     inv, bases, cums = _cdf_tables(params, half_width)
@@ -238,7 +238,7 @@ def range_decode(
     # flush, whose trailing zeros are left out), so its reads end inside the 8
     # zero bytes appended here, and ``data[pos]`` raises IndexError only for a
     # damaged stream or a header that declares more symbols than were coded.
-    data = bytes(bs.data) + bytes(8)
+    data = bytes(payload) + bytes(8)
     code, rng, pos = int.from_bytes(data[:8], "big"), _MASK64, 8
     try:
         for i, u in enumerate(inv):
@@ -275,6 +275,6 @@ def range_decode(
     # The decoder's code is the 8-byte window at its read position minus the
     # encoder's low, so the flush length follows from the two.
     window = int.from_bytes(data[pos - 8 : pos], "big")
-    if len(bs.data) != pos - 8 + _flush((window - code) & _MASK64, rng)[0]:
+    if len(payload) != pos - 8 + _flush((window - code) & _MASK64, rng)[0]:
         raise CorruptStreamError("payload length differs from what its symbols need")
     return symbols.reshape(params.mu.shape)

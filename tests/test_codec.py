@@ -33,7 +33,7 @@ from svhm.codec.motion import FlowField, compensate, estimate_motion
 from svhm.codec.synthetic import translating_square, textured_scene
 from svhm.codec.y4m import Y4MError, read_y4m, read_yuv420, write_y4m
 from svhm.entropy_model import LaplaceParamField
-from svhm.range_coder import CorruptStreamError, range_encode
+from svhm.range_coder import CorruptStreamError, SupportError, range_decode, range_encode
 
 
 def random_frame(rng, h=48, w=56):
@@ -355,8 +355,8 @@ class TestCoding:
             (*coding.code_inter_frame(x, black, ones, 0),
              lambda p: coding.decode_inter_frame(p, black, ones, 0)),
         ]:
-            counts = coding._read(container.unpack(payload, 2)[0],
-                                  coding._count_params(9), coding.COUNT_SUPPORT)
+            counts = range_decode(container.unpack(payload, 2)[0],
+                                  coding._count_params(9), half_width=coding.COUNT_SUPPORT)
             assert counts.tolist() == [0, 1, 64] * 3
             dec = decode(payload)
             assert all(np.array_equal(p, q) for p, q in zip(dec.rgb, recon.rgb))
@@ -370,9 +370,9 @@ class TestCoding:
         empty = np.zeros(0, dtype=np.int64)
         payload = container.pack([
             range_encode(counts, coding._count_params(48),
-                         half_width=coding.COUNT_SUPPORT).data,
+                         half_width=coding.COUNT_SUPPORT),
             range_encode(empty, LaplaceParamField(empty, empty + 1.0),
-                         half_width=coding.CODEC_SUPPORT).data,
+                         half_width=coding.CODEC_SUPPORT),
         ])
         with pytest.raises(CorruptStreamError, match="negative coefficient count"):
             coding.decode_intra_frame(payload, 2, 32, 32)
@@ -394,6 +394,18 @@ class TestCoding:
         dec, report = decode_sequence(stream)
         assert len(dec) == 1
         assert report.error == "frame 1: trailing bytes after the last packed sub-stream"
+
+    def test_coefficient_beyond_coder_support(self):
+        # Pixels in [0, 255] cannot leave CODEC_SUPPORT; out-of-range pixels
+        # are refused by the range coder's own bound, at either layer.
+        rng = np.random.default_rng(19)
+        hot = Frame(np.full((3, 16, 16), 1e5))
+        with pytest.raises(SupportError,
+                           match=r"symbol 25000 at flat index 0 outside mu \+/- 1024"):
+            coding.code_intra_frame(hot, 0)
+        ctx, base = random_frame(rng, 16, 16), random_frame(rng, 16, 16)
+        with pytest.raises(SupportError, match=r"outside mu \+/- 1024"):
+            coding.code_inter_frame(hot, ctx, np.ones((16, 16)), 3, extra=base)
 
     def test_skip_blocks_cost_less(self):
         rng = np.random.default_rng(15)
