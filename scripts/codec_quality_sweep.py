@@ -4,7 +4,8 @@
 Input is a Y4M file, or a built-in synthetic clip when no input is given.
 Writes an RD curve CSV usable by the bdrate command and prints a summary
 table with base-only and base+enhancement numbers.  MS-SSIM reads "n/a" for
-a clip with a side under 144 px, too small for its five scales.
+a clip with a side under 144 px, too small for its five scales.  A refused
+input ends as in ``svhm``: one ``error:`` line, no CSV, exit code 2.
 """
 
 import argparse
@@ -12,6 +13,7 @@ import sys
 
 import numpy as np
 
+from svhm.cli import CommandError, refusal_boundary
 from svhm.codec import CodecConfig, decode_sequence, encode_sequence
 from svhm.codec.synthetic import textured_scene
 from svhm.codec.y4m import read_y4m
@@ -34,9 +36,13 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="quality_sweep.csv")
     args = ap.parse_args()
+    if args.frames < 1:
+        raise CommandError(f"--frames must be at least 1, got {args.frames}")
+    if not 1 <= args.gop <= 255:
+        raise CommandError(f"--gop must be in 1..255, got {args.gop}")
 
     if args.input:
-        clip, _ = read_y4m(args.input)
+        clip = read_y4m(args.input)
     else:
         clip = textured_scene(args.frames, seed=args.seed)
 
@@ -58,4 +64,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(refusal_boundary(main))

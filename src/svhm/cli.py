@@ -3,16 +3,17 @@ the rate-distortion theory lab.
 
 Exit codes: 0 success, 1 an rdlab inequality violation, 2 refused input.  A
 refused input (a file, a header, a CSV or an option) is a ``ValueError`` or an
-``OSError``; ``main()`` alone turns it into one ``error: ...`` line and exit 2.
-Any other exception is a bug and ends in a traceback.  Output files are written
-atomically (temp + rename); failed commands leave no partial output, except
-``decode`` of a stream whose frame k > 0 is corrupt: it writes frames 0..k-1,
-prints ``partial decode: k frames (frame k: ...)`` instead and exits 2.
+``OSError``; ``refusal_boundary`` alone turns it into one ``error: ...`` line
+and exit 2.  Any other exception is a bug and ends in a traceback.  Outputs are
+written atomically (temps, renamed once all are written); failed commands leave
+no partial output, except ``decode`` of a stream whose frame k > 0 is corrupt:
+it writes frames 0..k-1, prints ``partial decode: k frames`` and exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import pathlib
@@ -34,35 +35,42 @@ class CommandError(ValueError):
     """A refused command-line input."""
 
 
-def _atomic_write(path: str, write) -> None:
-    """Run ``write(tmp)`` on a temp file beside ``path``, then rename it into
-    place; on any failure the temp file is removed and ``path`` is untouched."""
-    d = os.path.dirname(os.path.abspath(path))
+def _atomic_write(files: dict) -> None:
+    """Run each ``write(tmp)`` of ``{path: write}`` (a path not given is skipped)
+    on a temp file beside its path, then rename the temps into place; if a
+    write fails, the temps are removed and no path is created or replaced."""
     umask = os.umask(0)
     os.umask(umask)
-    tmp = None
+    files = {path: write for path, write in files.items() if path}
+    tmps = {}
     try:
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
-        os.close(fd)
-        os.chmod(tmp, 0o666 & ~umask)   # mkstemp's 0600 -> the mode open() gives
-        write(tmp)
-        os.replace(tmp, path)
+        for path, write in files.items():
+            if os.path.isdir(path):   # else os.replace fails after the earlier renames
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            fd, tmps[path] = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                              prefix=".tmp-", suffix=os.path.basename(path))
+            os.close(fd)
+            os.chmod(tmps[path], 0o666 & ~umask)   # mkstemp's 0600 -> open()'s mode
+            write(tmps[path])
+        for path, tmp in tmps.items():
+            os.replace(tmp, path)
     except BaseException as exc:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in tmps.values():
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         if isinstance(exc, OSError) and exc.errno is not None:   # name path, not tmp
             raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
-def _atomic_write_bytes(path: str, data: bytes) -> None:
-    _atomic_write(path, lambda tmp: pathlib.Path(tmp).write_bytes(data))
+def _bytes(data: bytes):
+    return lambda tmp: pathlib.Path(tmp).write_bytes(data)
 
 
 def _emit(args, text: str) -> None:
     """Write ``text`` to ``--out`` if given, else print it."""
     if args.output:
-        _atomic_write_bytes(args.output, text.encode())
+        _atomic_write({args.output: _bytes(text.encode())})
     else:
         print(text)
 
@@ -70,7 +78,7 @@ def _emit(args, text: str) -> None:
 def _load_frames(path: str, width: int | None, height: int | None):
     """Frames of a .y4m file, or of raw YUV420 of the given geometry."""
     if path.endswith(".y4m"):
-        frames, _ = read_y4m(path)
+        frames = read_y4m(path)
     else:
         if width is None or height is None:
             raise CommandError("raw YUV input needs --width and --height")
@@ -85,9 +93,8 @@ def cmd_encode(args) -> int:
     config = CodecConfig(quality=args.q, gop=args.gop,
                          enhancement=(args.layers == "base+enh"))
     stream, report = encode_sequence(frames, config)
-    _atomic_write_bytes(args.output, stream.serialize())
-    if args.report:
-        _atomic_write_bytes(args.report, report.to_json().encode())
+    _atomic_write({args.output: _bytes(stream.serialize()),
+                   args.report: _bytes(report.to_json().encode())})
     print(f"encoded {report.frame_count} frames -> {args.output} "
           f"({report.bpp():.4f} bpp, base {report.bpp('base'):.4f} bpp)")
     return EXIT_OK
@@ -100,9 +107,8 @@ def cmd_decode(args) -> int:
     frames, report = decode_sequence(stream, args.layers)
     if not frames:
         raise CommandError(f"no decodable frames: {report.error}")
-    _atomic_write(args.output, lambda tmp: write_y4m(tmp, frames))
-    if args.report:
-        _atomic_write_bytes(args.report, report.to_json().encode())
+    _atomic_write({args.output: lambda tmp: write_y4m(tmp, frames),
+                   args.report: _bytes(report.to_json().encode())})
     if report.error is not None:
         print(f"partial decode: {len(frames)} frames ({report.error})", file=sys.stderr)
         return EXIT_USAGE
@@ -177,7 +183,8 @@ def cmd_breakeven(args) -> int:
 
 def cmd_rdlab(args) -> int:
     """Randomized sweep verifying that conditional coding never needs more
-    rate than residual coding, at matched Lagrangian slope."""
+    rate than residual coding, at matched Lagrangian slope; ``points`` holds
+    each (joint, slope) solve pair's R/D points and margin, in sweep order."""
     if args.slopes < 1:
         raise CommandError(f"--slopes must be at least 1, got {args.slopes}")
     if args.joints < 0:
@@ -188,7 +195,7 @@ def cmd_rdlab(args) -> int:
         raise CommandError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     rng = np.random.default_rng(args.seed)
     slopes = [float(s) for s in np.geomspace(0.01, 10.0, args.slopes)]
-    worst = []
+    points = []
     per_slope = [{"slope": s, "max_iterations": 0, "worst_gap": 0.0} for s in slopes]
     violations = 0
     for j in range(args.joints):
@@ -199,9 +206,10 @@ def cmd_rdlab(args) -> int:
                                                 tol=args.tolerance,
                                                 ba_max_iters=400_000)
         violations += sum(1 for r in results if not r.holds)
-        worst.append({"joint": j,
-                      "worst_margin": min(r.margin for r in results)})
         for entry, r in zip(per_slope, results):
+            points.append({"joint": j, "slope": r.slope, "rate_cond": r.r_c.rate,
+                           "dist_cond": r.r_c.distortion, "rate_resid": r.r_r.rate,
+                           "dist_resid": r.r_r.distortion, "margin": r.margin})
             entry["max_iterations"] = max(entry["max_iterations"],
                                           r.r_c.iterations, r.r_r.iterations)
             entry["worst_gap"] = max(entry["worst_gap"], r.r_c.gap, r.r_r.gap)
@@ -212,7 +220,7 @@ def cmd_rdlab(args) -> int:
         "tolerance": args.tolerance,
         "violations": violations,
         "all_hold": violations == 0,
-        "per_joint_worst_margins": worst,
+        "points": points,
         "per_slope": per_slope,
     }
     _emit(args, json.dumps(out, indent=2))
@@ -281,17 +289,22 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def refusal_boundary(run, *args) -> int:
+    """``run(*args)``, with a refused input as one ``error: ...`` line, exit 2."""
+    try:
+        return run(*args)
+    except (ValueError, OSError) as exc:   # a refused input; anything else is a bug
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:   # a refused input; anything else is a bug
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    return refusal_boundary(args.func, args)
 
 
 if __name__ == "__main__":

@@ -56,8 +56,8 @@ def _read_frames(f, path, width: int, height: int, marked: bool) -> list[Frame]:
         frames.append(ycbcr_to_rgb(planes[:ysize].reshape(height, width), cb, cr))
 
 
-def read_y4m(path) -> tuple[list[Frame], str]:
-    """Parse a C420 8-bit Y4M file; returns (frames, frame-rate tag)."""
+def read_y4m(path) -> list[Frame]:
+    """Frames of a C420 8-bit Y4M file (the frame-rate tag is not kept)."""
     with open(path, "rb") as f:
         header = f.readline()
         if not header.endswith(b"\n"):
@@ -73,7 +73,7 @@ def read_y4m(path) -> tuple[list[Frame], str]:
         except (KeyError, ValueError):
             raise Y4MError(f"{path}: missing or malformed W/H in Y4M header") from None
         _check_geometry(width, height)
-        return _read_frames(f, path, width, height, marked=True), tags.get("F", "25:1")
+        return _read_frames(f, path, width, height, marked=True)
 
 
 def read_yuv420(path, width: int, height: int) -> list[Frame]:
@@ -83,13 +83,13 @@ def read_yuv420(path, width: int, height: int) -> list[Frame]:
         return _read_frames(f, path, width, height, marked=False)
 
 
-def write_y4m(path, frames: list[Frame], rate: str = "25:1") -> None:
+def write_y4m(path, frames: list[Frame]) -> None:
     if not frames:
         raise Y4MError("cannot write an empty Y4M file")
     w, h = frames[0].width, frames[0].height
     _check_geometry(w, h)
     with open(path, "wb") as f:
-        f.write(f"YUV4MPEG2 W{w} H{h} F{rate} Ip A1:1 C420jpeg\n".encode("ascii"))
+        f.write(f"YUV4MPEG2 W{w} H{h} F25:1 Ip A1:1 C420jpeg\n".encode("ascii"))
         for fr in frames:
             y, cb, cr = rgb_to_ycbcr(fr)
             f.write(b"FRAME\n")

@@ -218,7 +218,7 @@ def clips(tmp_path_factory):
     square = translating_square(frames=30, size=64, seed=0)
     path = tmp_path_factory.mktemp("accept") / "textured.y4m"
     write_y4m(path, textured_scene(frames=30, height=144, width=176, seed=0))
-    textured, _ = read_y4m(path)
+    textured = read_y4m(path)
     return {"square": square, "textured": textured}
 
 

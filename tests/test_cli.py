@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svhm import rdtheory
 from svhm.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from svhm.codec import CodecConfig, ContainerError, ScalableBitstream, encode_sequence
 from svhm.codec.synthetic import textured_scene, translating_square
@@ -58,7 +59,7 @@ class TestEncodeDecode:
     def test_decode_roundtrip(self, encoded_bin, tmp_path):
         out = str(tmp_path / "dec.y4m")
         assert main(["decode", "--in", encoded_bin, "--out", out]) == EXIT_OK
-        frames, _ = read_y4m(out)
+        frames = read_y4m(out)
         assert len(frames) == 8
 
     def test_decode_base_layer(self, encoded_bin, tmp_path):
@@ -109,7 +110,7 @@ class TestEncodeDecode:
         damaged.write_bytes(stream.serialize())
         out = str(tmp_path / "partial.y4m")
         assert main(["decode", "--in", str(damaged), "--out", out]) == EXIT_USAGE
-        frames, _ = read_y4m(out)
+        frames = read_y4m(out)
         assert len(frames) == 4
         assert "partial decode" in capsys.readouterr().err
 
@@ -156,6 +157,25 @@ class TestEncodeDecode:
         assert main(["decode", "--in", str(src), "--out", str(out)]) == EXIT_USAGE
         assert "unsupported container version 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["encode", "decode"])
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("report", ["missing/r.json", "is_a_dir"])
+    def test_failed_report_leaves_no_output(self, clip_y4m, encoded_bin, tmp_path,
+                                            capsys, command, existing, report):
+        # --out and --report are renamed into place together, or neither is
+        (tmp_path / "is_a_dir").mkdir()
+        src = clip_y4m if command == "encode" else encoded_bin
+        out = tmp_path / "out"
+        if existing:
+            out.write_bytes(b"old")
+        assert main([command, "--in", src, "--out", str(out),
+                     "--report", str(tmp_path / report)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(str(tmp_path / report)) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["is_a_dir"] + ["out"] * existing
+        assert list((tmp_path / "is_a_dir").iterdir()) == []
+        assert not existing or out.read_bytes() == b"old"
 
     def test_usage_error_exit_code(self):
         assert main(["encode"]) == EXIT_USAGE
@@ -410,7 +430,7 @@ class TestRDLab:
                      "--out", str(out)]) == EXIT_OK
         data = json.loads(out.read_text())
         assert data["joints"] == 0
-        assert data["per_joint_worst_margins"] == []
+        assert data["points"] == []
 
     def test_small_sweep_all_hold(self, tmp_path):
         out = str(tmp_path / "lab.json")
@@ -419,12 +439,30 @@ class TestRDLab:
         data = json.loads(open(out).read())
         assert data["all_hold"]
         assert data["violations"] == 0
-        assert len(data["per_joint_worst_margins"]) == 3
-        assert all(m["worst_margin"] >= -1e-6 for m in data["per_joint_worst_margins"])
+        assert len(data["points"]) == 12
+        assert all(p["margin"] >= -1e-6 for p in data["points"])
         assert [e["slope"] for e in data["per_slope"]] == pytest.approx(
             np.geomspace(0.01, 10.0, 4))
         assert all(e["worst_gap"] < 1e-9 for e in data["per_slope"])
         assert all(e["max_iterations"] >= 1 for e in data["per_slope"])
+
+    def test_points_are_the_solve_pairs_in_sweep_order(self, tmp_path):
+        out = tmp_path / "lab.json"
+        assert main(["rdlab", "--joints", "3", "--slopes", "4", "--seed", "1",
+                     "--out", str(out)]) == EXIT_OK
+        rng = np.random.default_rng(1)
+        slopes = [float(s) for s in np.geomspace(0.01, 10.0, 4)]
+        want = []
+        for j in range(3):
+            joint = rdtheory.random_joint(rng)
+            dmat = rdtheory.DistortionMatrix.squared_error(rdtheory.residual_alphabet(joint))
+            want += [{"joint": j, "slope": r.slope,
+                      "rate_cond": r.r_c.rate, "dist_cond": r.r_c.distortion,
+                      "rate_resid": r.r_r.rate, "dist_resid": r.r_r.distortion,
+                      "margin": r.margin}
+                     for r in rdtheory.verify_rd_inequality(joint, dmat, slopes,
+                                                            ba_max_iters=400_000)]
+        assert json.loads(out.read_text())["points"] == want
 
     def test_exit_codes_defined(self):
         assert (EXIT_OK, EXIT_VERIFY, EXIT_USAGE) == (0, 1, 2)
@@ -492,6 +530,25 @@ def test_failed_write_names_the_requested_path(clip_y4m, tmp_path, capsys, targe
     assert repr(str(out)) in err and ".tmp-" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["is_a_dir"]
     assert list((tmp_path / "is_a_dir").iterdir()) == []
+
+
+@pytest.mark.parametrize("args, option", [
+    (["--frames", "0"], "--frames"), (["--gop", "0"], "--gop"),
+    (["--gop", "256"], "--gop"), (["--in", "missing.y4m"], "missing.y4m"),
+])
+def test_quality_sweep_refusal_is_one_error_line_and_exit_2(tmp_path, args, option):
+    # the script runs under svhm.cli's refusal boundary, and refuses a bad
+    # --frames or --gop before its first encode
+    script = Path(__file__).resolve().parents[1] / "scripts" / "codec_quality_sweep.py"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    run = subprocess.run([sys.executable, str(script), *args, "--out", "q.csv"],
+                         cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert run.returncode == EXIT_USAGE
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+    assert option in run.stderr and run.stdout == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_bug_is_not_a_refused_input(monkeypatch):
