@@ -5,15 +5,19 @@ Input is a Y4M file, or a built-in synthetic clip when no input is given.
 Writes an RD curve CSV usable by the bdrate command and prints a summary
 table with base-only and base+enhancement numbers.  MS-SSIM reads "n/a" for
 a clip with a side under 144 px, too small for its five scales.  A refused
-input ends as in ``svhm``: one ``error:`` line, no CSV, exit code 2.
+input ends as in ``svhm``: one ``error:`` line, no CSV, exit code 2; every
+option and the ``--out`` directory are checked before the first encode, and
+the CSV is written to a temp file that is renamed into place.
 """
 
 import argparse
+import errno
+import os
 import sys
 
 import numpy as np
 
-from svhm.cli import CommandError, refusal_boundary
+from svhm.cli import CommandError, _atomic_write, refusal_boundary
 from svhm.codec import CodecConfig, decode_sequence, encode_sequence
 from svhm.codec.synthetic import textured_scene
 from svhm.codec.y4m import read_y4m
@@ -40,6 +44,10 @@ def main() -> int:
         raise CommandError(f"--frames must be at least 1, got {args.frames}")
     if not 1 <= args.gop <= 255:
         raise CommandError(f"--gop must be in 1..255, got {args.gop}")
+    if args.seed < 0:
+        raise CommandError(f"--seed must not be negative, got {args.seed}")
+    if not args.out or not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
 
     if args.input:
         clip = read_y4m(args.input)
@@ -58,7 +66,7 @@ def main() -> int:
             print(f"{q:>2} {layers:>9} {bpp:8.4f} {psnr:7.2f} {mean_msssim(clip, dec):>8}")
 
     curves = [RDCurveTable(layers, "PSNR", sorted(pts)) for layers, pts in rows.items()]
-    write_rd_csv(args.out, curves)
+    _atomic_write({args.out: lambda tmp: write_rd_csv(tmp, curves)})
     print(f"RD curves -> {args.out}")
     return 0
 

@@ -23,6 +23,17 @@ vectorized batch per call.  The cache holds at most ``_CACHE_MAX_BYTES`` of
 ``int64`` rows and is emptied when a batch would overflow it: arbitrary float
 traffic has no small working set, and a cache sized by it would grow with
 the process.  A batch larger than the bound is used but not kept.
+
+A call finds its rows with plain sorts and no argsort: the distinct
+fractions, scales and (fraction, scale) pair codes come from one ``np.sort``
+each, and positions are mapped onto them with ``searchsorted``.  The encoder
+gathers its counts from the call's rows laid end to end, with flat ``take``s.
+The decoder reads each row through a decode record, built the first time a
+decode reads the row and kept beside it, so cleared with it: the row's total,
+the fast-path bounds of round(mu) - 1 .. round(mu) + 1, and as a Python list
+for the bisect only the counts of round(mu) +/- ``_LISTED`` (all but 0.03% of
+the symbols of both benchmark clips at q0..q3); a symbol beyond them is
+searched in the cached numpy row.
 """
 
 from __future__ import annotations
@@ -46,6 +57,7 @@ _RENORM = 1 << 56
 _CDF_PRECISION = 1 << 20
 _CHECK_TOTAL = 1 << 16
 _CACHE_MAX_BYTES = 4 << 20
+_LISTED = 128   # a decode record lists the counts of round(mu) +/- this many symbols
 
 
 class SupportError(ValueError):
@@ -99,56 +111,94 @@ def _build_rows(fracs: np.ndarray, scales: np.ndarray, half_width: int) -> np.nd
 
 
 class _CdfRowCache:
-    """Integer CDF rows keyed by (mu - round(mu), scale, half_width), bounded in bytes."""
+    """Integer CDF rows keyed by (mu - round(mu), scale, half_width), bounded in bytes,
+    with the decode record of each row that a decode has read."""
 
     def __init__(self, max_bytes: int):
         self.max_bytes = max_bytes
         self.nbytes = 0
         self._rows: dict[tuple[float, float, int], np.ndarray] = {}
+        self._records: dict[tuple[float, float, int], tuple] = {}
 
-    def lookup(self, fracs: np.ndarray, scales: np.ndarray, half_width: int) -> np.ndarray:
-        """Rows as :func:`_build_rows` gives them, one per pair, even for no pairs."""
+    def lookup(self, fracs: np.ndarray, scales: np.ndarray, half_width: int,
+               records: bool = False) -> list:
+        """Rows as :func:`_build_rows` gives them, one 1-D array per pair; with
+        ``records``, their :func:`_decode_record` tuples instead."""
         keys = [(f, s, half_width) for f, s in zip(fracs.tolist(), scales.tolist())]
         rows = [self._rows.get(k) for k in keys]
         miss = [i for i, row in enumerate(rows) if row is None]
         if miss:
-            built = _build_rows(fracs[miss], scales[miss], half_width)
+            built = list(_build_rows(fracs[miss], scales[miss], half_width))
             for i, row in zip(miss, built):
                 rows[i] = row
             self._store([keys[i] for i in miss], built)
-        return np.array(rows, dtype=np.int64).reshape(-1, 2 * half_width + 2)
+        if not records:
+            return rows
+        return [self._record(k, row) for k, row in zip(keys, rows)]
 
-    def _store(self, keys, built: np.ndarray) -> None:
+    def _record(self, key, row: np.ndarray) -> tuple:
+        record = self._records.get(key)
+        if record is None:
+            record = _decode_record(row, key[2])
+            if self._rows.get(key) is row:   # a row not kept keeps no record
+                self._records[key] = record
+        return record
+
+    def _store(self, keys, built: list) -> None:
         # The rows are views of one batch array, which lives exactly as long
         # as its rows do, because the cache only ever drops all rows at once.
-        if built.nbytes > self.max_bytes:
+        nbytes = sum(row.nbytes for row in built)
+        if nbytes > self.max_bytes:
             return
-        if self.nbytes + built.nbytes > self.max_bytes:
+        if self.nbytes + nbytes > self.max_bytes:
             self._rows.clear()
+            self._records.clear()
             self.nbytes = 0
         self._rows.update(zip(keys, built))
-        self.nbytes += built.nbytes
+        self.nbytes += nbytes
 
 
 _ROW_CACHE = _CdfRowCache(_CACHE_MAX_BYTES)
 
 
-def _cdf_tables(params: LaplaceParamField, half_width: int):
+def _decode_record(row: np.ndarray, half_width: int) -> tuple:
+    """What :func:`range_decode` reads of a row: its total; the cumulative
+    counts bounding round(mu) - 1, round(mu) (index half_width) and round(mu)
+    + 1, clamped to the row for small half-widths; those of round(mu) +/-
+    ``_LISTED`` as a list for the bisect, with the index of its first; and the
+    row itself, searched for the rare symbol beyond the list."""
+    lo, hi = max(half_width - 1, 0), min(half_width + 2, 2 * half_width + 1)
+    first = max(half_width - _LISTED, 0)
+    last = min(half_width + _LISTED + 1, 2 * half_width + 1)
+    total, a, b, c, e = row[[-1, lo, half_width, half_width + 1, hi]].tolist()
+    return total, a, b, c, e, row[first:last + 1].tolist(), first, row
+
+
+def _distinct(values: np.ndarray):
+    """(sorted distinct values, each value's index among them), from one plain sort."""
+    ordered = np.sort(values)
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    distinct = ordered[keep]
+    return distinct, np.searchsorted(distinct, values)
+
+
+def _cdf_tables(params: LaplaceParamField, half_width: int, records: bool = False):
     """Integer CDFs for every distinct (mu - round(mu), scale) pair in the field.
 
-    Returns (row_index_per_position, lowest_symbol_per_position, cums), the
-    lowest symbol being round(mu) - half_width and ``cums`` as from
-    :func:`_build_rows`, one row per distinct pair.
+    Returns (row_index_per_position, lowest_symbol_per_position, rows), the
+    lowest symbol being round(mu) - half_width and ``rows`` one 1-D row as from
+    :func:`_build_rows` per distinct pair, or with ``records`` its decode record.
     """
     mus = params.mu.ravel()
     centres = quantize(mus)
-    scales = np.maximum(params.scale.ravel(), SCALE_FLOOR)
-    fr_vals, fr_idx = np.unique(mus - centres, return_inverse=True)
-    sc_vals, sc_idx = np.unique(scales, return_inverse=True)
-    pair, inv = np.unique(fr_idx * sc_vals.size + sc_idx, return_inverse=True)
-    cums = _ROW_CACHE.lookup(
-        fr_vals[pair // sc_vals.size], sc_vals[pair % sc_vals.size], half_width)
-    return inv.ravel(), centres - half_width, cums
+    fr_vals, fr_idx = _distinct(mus - centres)
+    sc_vals, sc_idx = _distinct(np.maximum(params.scale.ravel(), SCALE_FLOOR))
+    pair, inv = _distinct(fr_idx * sc_vals.size + sc_idx)
+    tabs = _ROW_CACHE.lookup(fr_vals[pair // sc_vals.size], sc_vals[pair % sc_vals.size],
+                             half_width, records)
+    return inv, centres - half_width, tabs
 
 
 def _check_value(symbols: np.ndarray) -> int:
@@ -175,11 +225,14 @@ def range_encode(
             f"symbol {int(flat[bad])} at flat index {bad} outside mu +/- {half_width}"
         )
 
-    inv, bases, cums = _cdf_tables(params, half_width)
-    j = flat - bases
-    lo = cums[inv, j]
-    cum_low, freq, total = (lo.tolist(), (cums[inv, j + 1] - lo).tolist(),
-                            cums[inv, -1].tolist())
+    inv, bases, rows = _cdf_tables(params, half_width)
+    width = 2 * half_width + 2
+    cums = np.array(rows, dtype=np.int64).ravel()
+    starts = inv * width
+    j = starts + (flat - bases)
+    lo = cums.take(j)
+    cum_low, freq, total = (lo.tolist(), (cums.take(j + 1) - lo).tolist(),
+                            cums.take(starts + (width - 1)).tolist())
     # The checksum is the last symbol: frequency 1 of a uniform 16-bit total.
     cum_low.append(_check_value(flat))
     freq.append(1)
@@ -217,19 +270,11 @@ def range_decode(
     decoded symbol, so the checksum alone cannot see them.
     """
     n = params.mu.size
-    inv, bases, cums = _cdf_tables(params, half_width)
-    lo, hi = max(half_width - 1, 0), min(half_width + 2, 2 * half_width + 1)
-    # Per row: its total, the cumulative counts bounding round(mu) - 1,
-    # round(mu) (index half_width) and round(mu) + 1, which hold most
-    # positions, clamped to the row for small half-widths, and the whole row
-    # as a list for the bisect.
-    tabs = list(zip(cums[:, -1].tolist(), cums[:, lo].tolist(),
-                    cums[:, half_width].tolist(), cums[:, half_width + 1].tolist(),
-                    cums[:, hi].tolist(), cums.tolist()))
+    inv, bases, tabs = _cdf_tables(params, half_width, records=True)
     # The checksum row is uniform, so its bisect index is the symbol itself;
     # its empty fast-path bounds send every target to the bisect.
     inv = [*inv.tolist(), len(tabs)]
-    tabs.append((_CHECK_TOTAL, 0, 0, 0, 0, range(_CHECK_TOTAL + 1)))
+    tabs = [*tabs, (_CHECK_TOTAL, 0, 0, 0, 0, range(_CHECK_TOTAL + 1), 0, None)]
     js = [half_width] * n + [0]
     below, above = half_width - 1, half_width + 1
     # The decoder reads 8 bytes ahead of the encoder: at renormalization
@@ -242,7 +287,7 @@ def range_decode(
     code, rng, pos = int.from_bytes(data[:8], "big"), _MASK64, 8
     try:
         for i, u in enumerate(inv):
-            total, a, b, c, e, row = tabs[u]
+            total, a, b, c, e, listed, first, row = tabs[u]
             r = rng // total
             t = code // r
             if b <= t < c:
@@ -255,13 +300,18 @@ def range_decode(
             elif c <= t < e:
                 rng = r * (e - c)
                 js[i] = above
-            else:
-                if t >= total:
-                    raise CorruptStreamError("decoded target outside the coded total")
-                j = bisect_right(row, t) - 1
-                c = row[j]
-                rng = r * (row[j + 1] - c)
+            elif listed[0] <= t < listed[-1]:
+                j = bisect_right(listed, t) - 1
+                c = listed[j]
+                rng = r * (listed[j + 1] - c)
+                js[i] = first + j
+            elif t < total:
+                j = int(row.searchsorted(t, "right")) - 1
+                c, d = row[j : j + 2].tolist()
+                rng = r * (d - c)
                 js[i] = j
+            else:
+                raise CorruptStreamError("decoded target outside the coded total")
             code -= c * r
             while rng < _RENORM:
                 code = ((code << 8) | data[pos]) & _MASK64

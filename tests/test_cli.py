@@ -532,18 +532,34 @@ def test_failed_write_names_the_requested_path(clip_y4m, tmp_path, capsys, targe
     assert list((tmp_path / "is_a_dir").iterdir()) == []
 
 
+# Runs the quality sweep script with svhm.codec.encode_sequence made to raise,
+# so a refusal that comes only after an encode ends in a traceback.
+_SWEEP_WITHOUT_ENCODES = (
+    "import runpy, sys, svhm.codec\n"
+    "def encode_sequence(*args, **kwargs):\n"
+    "    raise AssertionError('encode_sequence ran')\n"
+    "svhm.codec.encode_sequence = encode_sequence\n"
+    "sys.argv = sys.argv[1:]\n"
+    "runpy.run_path(sys.argv[0], run_name='__main__')\n")
+
+
 @pytest.mark.parametrize("args, option", [
-    (["--frames", "0"], "--frames"), (["--gop", "0"], "--gop"),
-    (["--gop", "256"], "--gop"), (["--in", "missing.y4m"], "missing.y4m"),
+    (["--frames", "0", "--out", "q.csv"], "--frames"),
+    (["--gop", "0", "--out", "q.csv"], "--gop"),
+    (["--gop", "256", "--out", "q.csv"], "--gop"),
+    (["--in", "missing.y4m", "--out", "q.csv"], "missing.y4m"),
+    (["--seed", "-1", "--out", "q.csv"], "--seed must not be negative, got -1"),
+    (["--out", "missing/q.csv"], "'missing/q.csv'"),
+    (["--out", ""], "''"),
 ])
 def test_quality_sweep_refusal_is_one_error_line_and_exit_2(tmp_path, args, option):
     # the script runs under svhm.cli's refusal boundary, and refuses a bad
-    # --frames or --gop before its first encode
-    script = Path(__file__).resolve().parents[1] / "scripts" / "codec_quality_sweep.py"
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    # option or --out directory before its first encode
+    root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    run = subprocess.run([sys.executable, str(script), *args, "--out", "q.csv"],
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)}
+    script = str(root / "scripts" / "codec_quality_sweep.py")
+    run = subprocess.run([sys.executable, "-c", _SWEEP_WITHOUT_ENCODES, script, *args],
                          cwd=tmp_path, env=env, capture_output=True, text=True)
     assert run.returncode == EXIT_USAGE
     assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1

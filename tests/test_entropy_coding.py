@@ -280,8 +280,18 @@ def fresh_row(mu, scale, half_width):
 
 
 def table_rows(params, half_width):
-    inv, bases, cums = range_coder._cdf_tables(params, half_width)
-    return [(int(base), cums[u]) for base, u in zip(bases, inv)]
+    """(lowest symbol, integer CDF row) per position, as the coder finds them."""
+    inv, bases, rows = range_coder._cdf_tables(params, half_width)
+    return [(int(base), rows[u]) for base, u in zip(bases, inv)]
+
+
+def codec_like_case(rng, n, half_width):
+    """Integer mus and quarter-octave palette scales, as the codec's planes have."""
+    mu = rng.integers(-3, 4, n).astype(np.float64)
+    scale = 2.0 ** (rng.integers(-4, 24, n) / 4)
+    symbols = np.clip(quantize(mu + rng.laplace(0.0, 1.0, n) * scale),
+                      mu - half_width, mu + half_width)
+    return symbols.astype(np.int64), LaplaceParamField(mu, scale)
 
 
 class TestCdfRowCache:
@@ -369,3 +379,79 @@ class TestCdfRowCache:
             assert report.error is None
         assert empty_cache._rows
         assert all(frac == 0.0 for frac, _, _ in empty_cache._rows)
+
+    def test_table_rows_reads_what_the_coder_reads(self, empty_cache):
+        symbols, field = codec_like_case(np.random.default_rng(11), 300, 1024)
+        inv, bases, records = range_coder._cdf_tables(field, 1024, records=True)
+        rows = table_rows(field, 1024)
+        assert len(rows) == symbols.size
+        for (base, row), mu, scale, u, b in zip(rows, field.mu, field.scale, inv, bases):
+            assert base == b and row is records[u][-1]
+            fresh_base, fresh = fresh_row(mu, scale, 1024)
+            assert base == fresh_base and np.array_equal(row, fresh)
+
+    def test_two_decodes_build_each_record_once(self, monkeypatch, empty_cache):
+        built = []
+        record = range_coder._decode_record
+
+        def spy(row, half_width):
+            built.append(half_width)
+            return record(row, half_width)
+
+        monkeypatch.setattr(range_coder, "_decode_record", spy)
+        symbols, field = codec_like_case(np.random.default_rng(12), 2000, 1024)
+        bs = range_encode(symbols, field, half_width=1024)
+        assert built == []   # the encoder reads no record
+        for _ in range(2):
+            assert np.array_equal(range_decode(bs, field, half_width=1024), symbols)
+        assert len(built) == len(empty_cache._records) == len(empty_cache._rows) > 10
+
+    def test_a_record_holds_the_cache_row(self, empty_cache):
+        symbols, field = codec_like_case(np.random.default_rng(13), 1000, 1024)
+        range_decode(range_encode(symbols, field, half_width=1024), field, half_width=1024)
+        assert empty_cache._records.keys() == empty_cache._rows.keys()
+        for key, record in empty_cache._records.items():
+            assert record[-1] is empty_cache._rows[key]
+        # a batch too large to keep is used by its call but leaves no record
+        n = empty_cache.max_bytes // (2050 * 8) + 1
+        mu = np.linspace(-0.4, 0.4, n)
+        field = LaplaceParamField(mu, np.full(n, 2.0))
+        before = dict(empty_cache._records)
+        bs = range_encode(quantize(mu), field, half_width=1024)
+        assert np.array_equal(range_decode(bs, field, half_width=1024), quantize(mu))
+        assert empty_cache._records == before
+
+    def test_records_are_cleared_with_their_rows(self, monkeypatch):
+        cache = range_coder._CdfRowCache(3 * 130 * 8)   # three rows of half-width 64
+        monkeypatch.setattr(range_coder, "_ROW_CACHE", cache)
+        for scales in ([1.0, 2.0], [3.0, 4.0]):
+            field = LaplaceParamField(np.zeros(2), np.array(scales))
+            range_decode(range_encode(np.array([0, 5]), field), field)
+            assert sorted(s for _, s, _ in cache._records) == scales
+            assert cache._records.keys() == cache._rows.keys()
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            symbols, field = random_case(rng, (8,))
+            assert np.array_equal(range_decode(range_encode(symbols, field), field), symbols)
+            assert cache._records.keys() <= cache._rows.keys()
+            assert cache.nbytes <= cache.max_bytes
+
+    def test_roundtrip_around_the_listed_window(self, empty_cache):
+        # Symbols within round(mu) +/- _LISTED are bisected in the record's
+        # list; those beyond it, out to the support edge, in the numpy row.
+        listed, hw = range_coder._LISTED, 1024
+        offsets = [0, 1, -1, 2, -2, listed, -listed, listed + 1, -(listed + 1),
+                   hw - 1, -(hw - 1), hw, -hw]
+        mu = np.repeat([0.0, 7.0, -300.0], len(offsets))
+        symbols = mu.astype(np.int64) + np.tile(offsets, 3)
+        for scale in (1.0, 40.0, 300.0):
+            field = LaplaceParamField(mu, np.full(mu.size, scale))
+            bs = range_encode(symbols, field, half_width=hw)
+            assert np.array_equal(range_decode(bs, field, half_width=hw), symbols)
+        # the offsets +/- listed are the list's first and last symbols
+        assert len(empty_cache._records) == 3
+        for record in empty_cache._records.values():
+            counts, first, row = record[-3:]
+            assert first == hw - listed and len(counts) == 2 * listed + 2
+            assert counts == row[first:first + len(counts)].tolist()
+
