@@ -36,12 +36,14 @@ class CommandError(ValueError):
 
 
 def _atomic_write(files: dict) -> None:
-    """Run each ``write(tmp)`` of ``{path: write}`` (a path not given is skipped)
-    on a temp file beside its path, then rename the temps into place; if a
-    write fails, the temps are removed and no path is created or replaced."""
+    """Run each ``write(tmp)`` of ``{path: write}`` (a path that is None is
+    skipped) on a temp file beside its path, then rename the temps into place;
+    if a write fails, the temps are removed and no path is created or replaced."""
     umask = os.umask(0)
     os.umask(umask)
-    files = {path: write for path, write in files.items() if path}
+    files = {path: write for path, write in files.items() if path is not None}
+    if "" in files:   # else its temp lands beside the working directory
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), "")
     tmps = {}
     try:
         for path, write in files.items():
@@ -69,7 +71,7 @@ def _bytes(data: bytes):
 
 def _emit(args, text: str) -> None:
     """Write ``text`` to ``--out`` if given, else print it."""
-    if args.output:
+    if args.output is not None:
         _atomic_write({args.output: _bytes(text.encode())})
     else:
         print(text)

@@ -84,4 +84,9 @@ def quantize(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if np.any(~np.isfinite(x)):
         raise ValueError("cannot quantize non-finite values")
+    return _round_half_away(x)
+
+
+def _round_half_away(x: np.ndarray) -> np.ndarray:
+    """``quantize`` of a float64 array already known to be finite."""
     return (np.sign(x) * np.floor(np.abs(x) + 0.5)).astype(np.int64)

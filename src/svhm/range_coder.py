@@ -11,33 +11,34 @@ the first read past the bytes a valid stream could need, and refuses a
 payload whose length is not the one its encoder writes for the decoded
 symbols, so bytes appended to a valid stream are refused too.
 
-Integer CDF rows are cached.  A row is the shape around round(mu) (one
-rounding rule, ``entropy_model.quantize``), keyed by the exact floats
-(mu - round(mu), scale after the scale floor) plus the support half-width,
-so a row is reused only where a fresh build would give the same integers.
-Every codec mu is an integer and its scales come from a quarter-octave
-palette, so the codec needs at most one row per palette scale and half-width,
-while every plane would otherwise rebuild its own.  Generic float parameters
-take the same path; each distinct pair is built once per miss, in one
-vectorized batch per call.  The cache holds at most ``_CACHE_MAX_BYTES`` of
-``int64`` rows and is emptied when a batch would overflow it: arbitrary float
-traffic has no small working set, and a cache sized by it would grow with
-the process.  A batch larger than the bound is used but not kept.
+Integer CDF rows are cached, one entry per row: its decode record, built with
+the row.  A row is the shape around round(mu) (one rounding rule,
+``entropy_model.quantize``), keyed by the exact floats (mu - round(mu), scale
+after the scale floor) plus the support half-width, so a row is reused only
+where a fresh build would give the same integers.  Every codec mu is an
+integer and its scales come from a quarter-octave palette, so the codec needs
+at most one row per palette scale and half-width, while every plane would
+otherwise rebuild its own.  Generic float parameters take the same path; each
+distinct pair is built once per miss, in one vectorized batch per call.  The
+cache holds at most ``_CACHE_MAX_BYTES``, counting each row's ``int64``
+bytes, its list and the list's int objects, and is emptied when a batch would
+overflow it: arbitrary float traffic has no small working set, and a cache
+sized by it would grow with the process.  A batch larger than the bound is
+used but not kept.
 
-A call finds its rows with plain sorts and no argsort: the distinct
+A call finds its records with plain sorts and no argsort: the distinct
 fractions, scales and (fraction, scale) pair codes come from one ``np.sort``
 each, and positions are mapped onto them with ``searchsorted``.  The encoder
 gathers its counts from the call's rows laid end to end, with flat ``take``s.
-The decoder reads each row through a decode record, built the first time a
-decode reads the row and kept beside it, so cleared with it: the row's total,
-the fast-path bounds of round(mu) - 1 .. round(mu) + 1, and as a Python list
-for the bisect only the counts of round(mu) +/- ``_LISTED`` (all but 0.03% of
-the symbols of both benchmark clips at q0..q3); a symbol beyond them is
-searched in the cached numpy row.
+The decoder reads a record's total and the fast-path bounds of round(mu) - 1
+.. round(mu) + 1, bisects its list of the counts of round(mu) +/- ``_LISTED``
+(all but 0.03% of the symbols of both benchmark clips at q0..q3), and
+searches a symbol beyond them in the record's row.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 
 import numpy as np
@@ -48,8 +49,8 @@ from .entropy_model import (
     Bitstream,
     LaplaceParamField,
     ShapeMismatchError,
+    _round_half_away,
     box_probability,
-    quantize,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -58,6 +59,7 @@ _CDF_PRECISION = 1 << 20
 _CHECK_TOTAL = 1 << 16
 _CACHE_MAX_BYTES = 4 << 20
 _LISTED = 128   # a decode record lists the counts of round(mu) +/- this many symbols
+_INT_BYTES = sys.getsizeof(_CDF_PRECISION)   # a count's int object; every count is < 2^30
 
 
 class SupportError(ValueError):
@@ -111,54 +113,46 @@ def _build_rows(fracs: np.ndarray, scales: np.ndarray, half_width: int) -> np.nd
 
 
 class _CdfRowCache:
-    """Integer CDF rows keyed by (mu - round(mu), scale, half_width), bounded in bytes,
-    with the decode record of each row that a decode has read."""
+    """Decode records keyed by (mu - round(mu), scale, half_width), bounded in bytes."""
 
     def __init__(self, max_bytes: int):
         self.max_bytes = max_bytes
         self.nbytes = 0
-        self._rows: dict[tuple[float, float, int], np.ndarray] = {}
-        self._records: dict[tuple[float, float, int], tuple] = {}
+        self._entries: dict[tuple[float, float, int], tuple] = {}
 
-    def lookup(self, fracs: np.ndarray, scales: np.ndarray, half_width: int,
-               records: bool = False) -> list:
-        """Rows as :func:`_build_rows` gives them, one 1-D array per pair; with
-        ``records``, their :func:`_decode_record` tuples instead."""
+    def lookup(self, fracs: np.ndarray, scales: np.ndarray, half_width: int) -> list:
+        """The :func:`_decode_record` of each pair, a missing one built with its row."""
         keys = [(f, s, half_width) for f, s in zip(fracs.tolist(), scales.tolist())]
-        rows = [self._rows.get(k) for k in keys]
-        miss = [i for i, row in enumerate(rows) if row is None]
+        records = [self._entries.get(k) for k in keys]
+        miss = [i for i, record in enumerate(records) if record is None]
         if miss:
-            built = list(_build_rows(fracs[miss], scales[miss], half_width))
-            for i, row in zip(miss, built):
-                rows[i] = row
+            built = [_decode_record(row, half_width)
+                     for row in _build_rows(fracs[miss], scales[miss], half_width)]
+            for i, record in zip(miss, built):
+                records[i] = record
             self._store([keys[i] for i in miss], built)
-        if not records:
-            return rows
-        return [self._record(k, row) for k, row in zip(keys, rows)]
-
-    def _record(self, key, row: np.ndarray) -> tuple:
-        record = self._records.get(key)
-        if record is None:
-            record = _decode_record(row, key[2])
-            if self._rows.get(key) is row:   # a row not kept keeps no record
-                self._records[key] = record
-        return record
+        return records
 
     def _store(self, keys, built: list) -> None:
         # The rows are views of one batch array, which lives exactly as long
-        # as its rows do, because the cache only ever drops all rows at once.
-        nbytes = sum(row.nbytes for row in built)
+        # as its rows do, because the cache only ever drops all entries at once.
+        nbytes = sum(map(_entry_bytes, built))
         if nbytes > self.max_bytes:
             return
         if self.nbytes + nbytes > self.max_bytes:
-            self._rows.clear()
-            self._records.clear()
+            self._entries.clear()
             self.nbytes = 0
-        self._rows.update(zip(keys, built))
+        self._entries.update(zip(keys, built))
         self.nbytes += nbytes
 
 
 _ROW_CACHE = _CdfRowCache(_CACHE_MAX_BYTES)
+
+
+def _entry_bytes(record: tuple) -> int:
+    """What a cache entry holds: its row, its list and the list's int objects."""
+    *_, listed, _, row = record
+    return row.nbytes + sys.getsizeof(listed) + len(listed) * _INT_BYTES
 
 
 def _decode_record(row: np.ndarray, half_width: int) -> tuple:
@@ -184,21 +178,18 @@ def _distinct(values: np.ndarray):
     return distinct, np.searchsorted(distinct, values)
 
 
-def _cdf_tables(params: LaplaceParamField, half_width: int, records: bool = False):
-    """Integer CDFs for every distinct (mu - round(mu), scale) pair in the field.
-
-    Returns (row_index_per_position, lowest_symbol_per_position, rows), the
-    lowest symbol being round(mu) - half_width and ``rows`` one 1-D row as from
-    :func:`_build_rows` per distinct pair, or with ``records`` its decode record.
-    """
+def _cdf_tables(params: LaplaceParamField, half_width: int):
+    """(record index per position, lowest symbol round(mu) - half_width per
+    position, records): one :func:`_decode_record` per distinct (mu - round(mu),
+    scale) pair in the field, whose last item is the pair's integer CDF row."""
     mus = params.mu.ravel()
-    centres = quantize(mus)
+    centres = _round_half_away(mus)
     fr_vals, fr_idx = _distinct(mus - centres)
     sc_vals, sc_idx = _distinct(np.maximum(params.scale.ravel(), SCALE_FLOOR))
     pair, inv = _distinct(fr_idx * sc_vals.size + sc_idx)
-    tabs = _ROW_CACHE.lookup(fr_vals[pair // sc_vals.size], sc_vals[pair % sc_vals.size],
-                             half_width, records)
-    return inv, centres - half_width, tabs
+    records = _ROW_CACHE.lookup(fr_vals[pair // sc_vals.size],
+                                sc_vals[pair % sc_vals.size], half_width)
+    return inv, centres - half_width, records
 
 
 def _check_value(symbols: np.ndarray) -> int:
@@ -225,9 +216,9 @@ def range_encode(
             f"symbol {int(flat[bad])} at flat index {bad} outside mu +/- {half_width}"
         )
 
-    inv, bases, rows = _cdf_tables(params, half_width)
+    inv, bases, records = _cdf_tables(params, half_width)
     width = 2 * half_width + 2
-    cums = np.array(rows, dtype=np.int64).ravel()
+    cums = np.array([record[-1] for record in records], dtype=np.int64).ravel()
     starts = inv * width
     j = starts + (flat - bases)
     lo = cums.take(j)
@@ -270,7 +261,7 @@ def range_decode(
     decoded symbol, so the checksum alone cannot see them.
     """
     n = params.mu.size
-    inv, bases, tabs = _cdf_tables(params, half_width, records=True)
+    inv, bases, tabs = _cdf_tables(params, half_width)
     # The checksum row is uniform, so its bisect index is the symbol itself;
     # its empty fast-path bounds send every target to the bisect.
     inv = [*inv.tolist(), len(tabs)]

@@ -532,6 +532,46 @@ def test_failed_write_names_the_requested_path(clip_y4m, tmp_path, capsys, targe
     assert list((tmp_path / "is_a_dir").iterdir()) == []
 
 
+
+def _curves(d):
+    anchor = RDCurveTable("anchor", "PSNR", [(0.1, 30.0), (0.2, 33.0), (0.4, 36.0), (0.8, 39.0)])
+    test = RDCurveTable("test", "PSNR", [(r / 2, q) for r, q in anchor.points])
+    write_rd_csv(d / "c.csv", [anchor, test])
+    return str(d / "c.csv")
+
+
+# Each command that writes a file, given "" as one of its output paths.
+_EMPTY_PATHS = {
+    "encode": lambda d, clip, stream: ["encode", "--in", clip, "--out", ""],
+    "encode-report": lambda d, clip, stream: [
+        "encode", "--in", clip, "--out", "o.svhm", "--report", ""],
+    "decode": lambda d, clip, stream: ["decode", "--in", stream, "--out", ""],
+    "decode-report": lambda d, clip, stream: [
+        "decode", "--in", stream, "--out", "o.y4m", "--report", ""],
+    "metrics": lambda d, clip, stream: ["metrics", "--ref", clip, "--in", clip, "--out", ""],
+    "bdrate": lambda d, clip, stream: [
+        "bdrate", "--curves", _curves(d), "--anchor", "anchor", "--test", "test", "--out", ""],
+    "breakeven": lambda d, clip, stream: ["breakeven", "--a", "0.8", "--b", "1.2", "--out", ""],
+    "rdlab": lambda d, clip, stream: ["rdlab", "--joints", "1", "--slopes", "2", "--out", ""],
+}
+
+
+@pytest.mark.parametrize("name", list(_EMPTY_PATHS))
+def test_an_empty_output_path_is_refused(clip_y4m, encoded_bin, tmp_path, monkeypatch,
+                                         capsys, name):
+    # "" names no file: it is refused before any file is made, not skipped
+    # and not taken for stdout
+    inputs, work = tmp_path / "in", tmp_path / "work"
+    inputs.mkdir()
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(_EMPTY_PATHS[name](inputs, clip_y4m, encoded_bin)) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in", "work"]
+    assert list(work.iterdir()) == []
+
 # Runs the quality sweep script with svhm.codec.encode_sequence made to raise,
 # so a refusal that comes only after an encode ends in a traceback.
 _SWEEP_WITHOUT_ENCODES = (

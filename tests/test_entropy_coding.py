@@ -1,6 +1,7 @@
 """Tests for the Laplace-box probability model and the range coder."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -281,8 +282,14 @@ def fresh_row(mu, scale, half_width):
 
 def table_rows(params, half_width):
     """(lowest symbol, integer CDF row) per position, as the coder finds them."""
-    inv, bases, rows = range_coder._cdf_tables(params, half_width)
-    return [(int(base), rows[u]) for base, u in zip(bases, inv)]
+    inv, bases, records = range_coder._cdf_tables(params, half_width)
+    return [(int(base), records[u][-1]) for base, u in zip(bases, inv)]
+
+
+def held_bytes(record):
+    """What one cache entry holds: its row, its list and the list's int objects."""
+    *_, listed, _, row = record
+    return row.nbytes + sys.getsizeof(listed) + sum(map(sys.getsizeof, listed))
 
 
 def codec_like_case(rng, n, half_width):
@@ -335,13 +342,29 @@ class TestCdfRowCache:
             bs = range_encode(symbols, field)
             assert np.array_equal(range_decode(bs, field), symbols)
             assert cache.nbytes <= cache.max_bytes
-        assert cache.nbytes == sum(row.nbytes for row in cache._rows.values())
+        entries = cache._entries.values()
+        assert cache.nbytes == sum(map(range_coder._entry_bytes, entries))
+        assert all(held_bytes(e) <= range_coder._entry_bytes(e) for e in entries)
         # one batch larger than the bound is used but not kept
         n = cache.max_bytes // (130 * 8) + 1
         field = LaplaceParamField(rng.uniform(-20, 20, n), rng.uniform(0.04, 10.0, n))
-        before = len(cache._rows)
+        before = len(cache._entries)
         range_decode(range_encode(np.round(field.mu).astype(np.int64), field), field)
-        assert len(cache._rows) <= before and cache.nbytes <= cache.max_bytes
+        assert len(cache._entries) <= before and cache.nbytes <= cache.max_bytes
+
+    def test_the_bound_counts_the_decode_lists(self, monkeypatch):
+        # generic float traffic through a small cache: what it holds, lists
+        # and their ints included, never exceeds the bound, and it is emptied
+        cache = range_coder._CdfRowCache(256 << 10)
+        monkeypatch.setattr(range_coder, "_ROW_CACHE", cache)
+        rng = np.random.default_rng(99)
+        sizes = []
+        for _ in range(200):
+            symbols, field = random_case(rng, (8,))
+            assert np.array_equal(range_decode(range_encode(symbols, field), field), symbols)
+            assert sum(map(held_bytes, cache._entries.values())) <= cache.max_bytes
+            sizes.append(len(cache._entries))
+        assert max(sizes) > 8 and min(b - a for a, b in zip(sizes, sizes[1:])) < 0
 
     @pytest.fixture
     def empty_cache(self, monkeypatch):
@@ -365,7 +388,7 @@ class TestCdfRowCache:
         symbols = mu.astype(np.int64) + np.random.default_rng(5).integers(-30, 31, mu.size)
         bs = range_encode(symbols, field, half_width=1024)
         assert np.array_equal(range_decode(bs, field, half_width=1024), symbols)
-        assert sum(built) == 1 and len(empty_cache._rows) == 1
+        assert sum(built) == 1 and len(empty_cache._entries) == 1
         rows = table_rows(field, 1024)
         for i in (0, 500, 1000):
             base, row = fresh_row(mu[i], 3.0, 1024)
@@ -377,12 +400,12 @@ class TestCdfRowCache:
             stream, _ = encode_sequence(frames, CodecConfig(quality=q, gop=4))
             _, report = decode_sequence(stream)
             assert report.error is None
-        assert empty_cache._rows
-        assert all(frac == 0.0 for frac, _, _ in empty_cache._rows)
+        assert empty_cache._entries
+        assert all(frac == 0.0 for frac, _, _ in empty_cache._entries)
 
     def test_table_rows_reads_what_the_coder_reads(self, empty_cache):
         symbols, field = codec_like_case(np.random.default_rng(11), 300, 1024)
-        inv, bases, records = range_coder._cdf_tables(field, 1024, records=True)
+        inv, bases, records = range_coder._cdf_tables(field, 1024)
         rows = table_rows(field, 1024)
         assert len(rows) == symbols.size
         for (base, row), mu, scale, u, b in zip(rows, field.mu, field.scale, inv, bases):
@@ -390,51 +413,40 @@ class TestCdfRowCache:
             fresh_base, fresh = fresh_row(mu, scale, 1024)
             assert base == fresh_base and np.array_equal(row, fresh)
 
-    def test_two_decodes_build_each_record_once(self, monkeypatch, empty_cache):
-        built = []
-        record = range_coder._decode_record
+    def test_each_row_and_record_is_built_once(self, monkeypatch, empty_cache):
+        rows, records = [], []
+        build, record = range_coder._build_rows, range_coder._decode_record
 
-        def spy(row, half_width):
-            built.append(half_width)
+        def build_spy(fracs, scales, half_width):
+            rows.append(fracs.size)
+            return build(fracs, scales, half_width)
+
+        def record_spy(row, half_width):
+            records.append(half_width)
             return record(row, half_width)
 
-        monkeypatch.setattr(range_coder, "_decode_record", spy)
+        monkeypatch.setattr(range_coder, "_build_rows", build_spy)
+        monkeypatch.setattr(range_coder, "_decode_record", record_spy)
         symbols, field = codec_like_case(np.random.default_rng(12), 2000, 1024)
         bs = range_encode(symbols, field, half_width=1024)
-        assert built == []   # the encoder reads no record
-        for _ in range(2):
+        built = (sum(rows), len(records))
+        for _ in range(2):   # one encode and two decodes build each row and record once
             assert np.array_equal(range_decode(bs, field, half_width=1024), symbols)
-        assert len(built) == len(empty_cache._records) == len(empty_cache._rows) > 10
+        assert (sum(rows), len(records)) == built
+        assert built == (len(empty_cache._entries),) * 2 and built[0] > 10
 
-    def test_a_record_holds_the_cache_row(self, empty_cache):
+    def test_a_batch_over_the_bound_keeps_nothing(self, empty_cache):
         symbols, field = codec_like_case(np.random.default_rng(13), 1000, 1024)
         range_decode(range_encode(symbols, field, half_width=1024), field, half_width=1024)
-        assert empty_cache._records.keys() == empty_cache._rows.keys()
-        for key, record in empty_cache._records.items():
-            assert record[-1] is empty_cache._rows[key]
-        # a batch too large to keep is used by its call but leaves no record
+        before, nbytes = dict(empty_cache._entries), empty_cache.nbytes
+        assert before and nbytes == sum(map(range_coder._entry_bytes, before.values()))
+        # a batch too large to keep is used by its call, and the cache is unchanged
         n = empty_cache.max_bytes // (2050 * 8) + 1
         mu = np.linspace(-0.4, 0.4, n)
         field = LaplaceParamField(mu, np.full(n, 2.0))
-        before = dict(empty_cache._records)
         bs = range_encode(quantize(mu), field, half_width=1024)
         assert np.array_equal(range_decode(bs, field, half_width=1024), quantize(mu))
-        assert empty_cache._records == before
-
-    def test_records_are_cleared_with_their_rows(self, monkeypatch):
-        cache = range_coder._CdfRowCache(3 * 130 * 8)   # three rows of half-width 64
-        monkeypatch.setattr(range_coder, "_ROW_CACHE", cache)
-        for scales in ([1.0, 2.0], [3.0, 4.0]):
-            field = LaplaceParamField(np.zeros(2), np.array(scales))
-            range_decode(range_encode(np.array([0, 5]), field), field)
-            assert sorted(s for _, s, _ in cache._records) == scales
-            assert cache._records.keys() == cache._rows.keys()
-        rng = np.random.default_rng(14)
-        for _ in range(50):
-            symbols, field = random_case(rng, (8,))
-            assert np.array_equal(range_decode(range_encode(symbols, field), field), symbols)
-            assert cache._records.keys() <= cache._rows.keys()
-            assert cache.nbytes <= cache.max_bytes
+        assert empty_cache._entries == before and empty_cache.nbytes == nbytes
 
     def test_roundtrip_around_the_listed_window(self, empty_cache):
         # Symbols within round(mu) +/- _LISTED are bisected in the record's
@@ -449,8 +461,8 @@ class TestCdfRowCache:
             bs = range_encode(symbols, field, half_width=hw)
             assert np.array_equal(range_decode(bs, field, half_width=hw), symbols)
         # the offsets +/- listed are the list's first and last symbols
-        assert len(empty_cache._records) == 3
-        for record in empty_cache._records.values():
+        assert len(empty_cache._entries) == 3
+        for record in empty_cache._entries.values():
             counts, first, row = record[-3:]
             assert first == hw - listed and len(counts) == 2 * listed + 2
             assert counts == row[first:first + len(counts)].tolist()
