@@ -1,13 +1,15 @@
-"""Command-line front end: encode/decode, metrics, BD-Rate, break-even, and
-the rate-distortion theory lab.
+"""Command-line front end: encode/decode, metrics, BD-Rate, break-even, the
+rate-distortion theory lab, and the RD-curve sweep of base and base+enh.
 
 Exit codes: 0 success, 1 an rdlab inequality violation, 2 refused input.  A
 refused input (a file, a header, a CSV or an option) is a ``ValueError`` or an
-``OSError``; ``refusal_boundary`` alone turns it into one ``error: ...`` line
-and exit 2.  Any other exception is a bug and ends in a traceback.  Outputs are
-written atomically (temps, renamed once all are written); failed commands leave
-no partial output, except ``decode`` of a stream whose frame k > 0 is corrupt:
-it writes frames 0..k-1, prints ``partial decode: k frames`` and exits 2.
+``OSError``; ``main`` alone turns it into one ``error: ...`` line and exit 2.
+Any other exception is a bug and ends in a traceback.  Before any command does
+its work, ``main`` refuses each ``--out``/``--report`` path that is empty, is a
+directory, or lies in a missing directory.  Outputs are written atomically
+(temps, renamed once all are written); failed commands leave no partial
+output, except ``decode`` of a stream whose frame k > 0 is corrupt: it writes
+frames 0..k-1, prints ``partial decode: k frames`` and exits 2.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 
 from . import evalkit, rdtheory
 from .codec import CodecConfig, ScalableBitstream, decode_sequence, encode_sequence
+from .codec.synthetic import textured_scene
 from .codec.y4m import read_y4m, read_yuv420, write_y4m
 
 EXIT_OK = 0
@@ -35,19 +38,28 @@ class CommandError(ValueError):
     """A refused command-line input."""
 
 
+def _check_output(path: str) -> None:
+    """Refuse an output path no file can be renamed to: "" names no file, a
+    directory cannot be replaced, and a missing directory cannot hold a temp."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not path or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _atomic_write(files: dict) -> None:
     """Run each ``write(tmp)`` of ``{path: write}`` (a path that is None is
     skipped) on a temp file beside its path, then rename the temps into place;
-    if a write fails, the temps are removed and no path is created or replaced."""
+    if a write fails, the temps are removed and no path is created or replaced.
+    ``main`` has checked each path before the work, but the work may outlast
+    that check."""
     umask = os.umask(0)
     os.umask(umask)
     files = {path: write for path, write in files.items() if path is not None}
-    if "" in files:   # else its temp lands beside the working directory
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), "")
     tmps = {}
     try:
         for path, write in files.items():
-            if os.path.isdir(path):   # else os.replace fails after the earlier renames
+            if os.path.isdir(path):   # made since; os.replace would fail after earlier renames
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
             fd, tmps[path] = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                               prefix=".tmp-", suffix=os.path.basename(path))
@@ -229,6 +241,40 @@ def cmd_rdlab(args) -> int:
     return EXIT_OK if violations == 0 else EXIT_VERIFY
 
 
+def _mean_msssim(clip, dec) -> str:
+    """Mean MS-SSIM as table text; "n/a" when a side is too small for five scales."""
+    try:
+        return f"{np.mean([evalkit.msssim_rgb(a, b) for a, b in zip(clip, dec)]):.4f}"
+    except ValueError:
+        return "n/a"
+
+
+def cmd_sweep(args) -> int:
+    """Encode a clip at q0..q3, print each layer's bpp, PSNR and MS-SSIM, and
+    write the base and base+enh PSNR curves as an RD CSV for ``bdrate``."""
+    if args.frames < 1:
+        raise CommandError(f"--frames must be at least 1, got {args.frames}")
+    if not 1 <= args.gop <= 255:
+        raise CommandError(f"--gop must be in 1..255, got {args.gop}")
+    if args.seed < 0:
+        raise CommandError(f"--seed must not be negative, got {args.seed}")
+    clip = read_y4m(args.input) if args.input else textured_scene(args.frames, seed=args.seed)
+    rows = {"base": [], "base+enh": []}
+    print(f"{'q':>2} {'layer':>9} {'bpp':>8} {'PSNR':>7} {'MS-SSIM':>8}")
+    for q in range(4):
+        stream, report = encode_sequence(clip, CodecConfig(quality=q, gop=args.gop))
+        for layers in rows:
+            dec, _ = decode_sequence(stream, layers)
+            psnr = float(np.mean([evalkit.psnr_rgb(a, b) for a, b in zip(clip, dec)]))
+            bpp = report.bpp(layers)
+            rows[layers].append((bpp, psnr))
+            print(f"{q:>2} {layers:>9} {bpp:8.4f} {psnr:7.2f} {_mean_msssim(clip, dec):>8}")
+    curves = [evalkit.RDCurveTable(layers, "PSNR", sorted(pts)) for layers, pts in rows.items()]
+    _atomic_write({args.output: lambda tmp: evalkit.write_rd_csv(tmp, curves)})
+    print(f"RD curves -> {args.output}")
+    return EXIT_OK
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="svhm",
@@ -288,16 +334,18 @@ def build_parser() -> argparse.ArgumentParser:
     lab.add_argument("--out", dest="output")
     lab.set_defaults(func=cmd_rdlab)
 
+    swp = sub.add_parser("sweep", help="RD curves of base and base+enh at q0..q3")
+    swp.add_argument("--in", dest="input", help="input .y4m (default: synthetic clip)")
+    swp.add_argument("--frames", type=int, default=30,
+                     help="synthetic clip length (default: %(default)s)")
+    swp.add_argument("--gop", type=int, default=32, help="intra period (default: %(default)s)")
+    swp.add_argument("--seed", type=int, default=0,
+                     help="synthetic clip seed (default: %(default)s)")
+    swp.add_argument("--out", dest="output", default="quality_sweep.csv",
+                     help="RD curve CSV (default: %(default)s)")
+    swp.set_defaults(func=cmd_sweep)
+
     return p
-
-
-def refusal_boundary(run, *args) -> int:
-    """``run(*args)``, with a refused input as one ``error: ...`` line, exit 2."""
-    try:
-        return run(*args)
-    except (ValueError, OSError) as exc:   # a refused input; anything else is a bug
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def main(argv=None) -> int:
@@ -306,7 +354,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    return refusal_boundary(args.func, args)
+    try:
+        for path in (args.output, getattr(args, "report", None)):
+            if path is not None:   # checked before the command does its work
+                _check_output(path)
+        return args.func(args)
+    except (ValueError, OSError) as exc:   # a refused input; anything else is a bug
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":
