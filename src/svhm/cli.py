@@ -6,7 +6,8 @@ refused input (a file, a header, a CSV or an option) is a ``ValueError`` or an
 ``OSError``; ``main`` alone turns it into one ``error: ...`` line and exit 2.
 Any other exception is a bug and ends in a traceback.  Before any command does
 its work, ``main`` refuses each ``--out``/``--report`` path that is empty, is a
-directory, or lies in a missing directory.  Outputs are written atomically
+directory, or lies in a missing directory, and a ``--report`` that names the
+``--out`` file.  Outputs are written atomically
 (temps, renamed once all are written); failed commands leave no partial
 output, except ``decode`` of a stream whose frame k > 0 is corrupt: it writes
 frames 0..k-1, prints ``partial decode: k frames`` and exits 2.
@@ -355,9 +356,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        for path in (args.output, getattr(args, "report", None)):
-            if path is not None:   # checked before the command does its work
-                _check_output(path)
+        outputs = [p for p in (args.output, getattr(args, "report", None)) if p is not None]
+        for path in outputs:   # checked before the command does its work
+            _check_output(path)
+        if len({os.path.abspath(p) for p in outputs}) < len(outputs):   # one would overwrite the other
+            raise CommandError(f"--report names the --out file: {args.output!r}")
         return args.func(args)
     except (ValueError, OSError) as exc:   # a refused input; anything else is a bug
         print(f"error: {exc}", file=sys.stderr)

@@ -88,7 +88,10 @@ def _inter_scales(pred: np.ndarray, alpha_block: np.ndarray, delta: float,
         act = alpha_block * (0.3 + 16.0 * alpha_block) / delta
         return np.broadcast_to(palette_scale(act)[:, :, None, None],
                                (3,) + alpha_block.shape + (tf.BLOCK, tf.BLOCK))
-    gap = np.abs(tf.forward(tf.blockify(extra)) - tf.forward(tf.blockify(pred))) / delta
+    gap = tf.forward(tf.blockify(extra))
+    gap -= tf.forward(tf.blockify(pred))
+    np.abs(gap, out=gap)
+    gap /= delta
     return palette_scale(0.2 + 0.7 * gap)
 
 
@@ -99,8 +102,9 @@ def _reconstruct(symbols: np.ndarray, predictor: np.ndarray, offset,
     h, w = predictor.shape[-2:]
     resid = np.zeros((3,) + keep.shape + (tf.BLOCK, tf.BLOCK))
     resid[:, keep] = tf.inverse(symbols.astype(np.float64) * delta)
-    recon = predictor + tf.unblockify(resid, h, w)
-    return np.clip(recon + offset, 0.0, 255.0)
+    recon = np.add(predictor, tf.unblockify(resid, h, w))   # then + offset and clip, in place
+    recon += offset
+    return np.clip(recon, 0.0, 255.0, out=recon)
 
 
 # ---------------------------------------------------------------------------

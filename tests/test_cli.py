@@ -608,6 +608,21 @@ def test_an_unwritable_output_path_is_refused_before_the_work(
     assert list((tmp_path / "is_a_dir").iterdir()) == []
 
 
+@pytest.mark.parametrize("spelling", ["same", "relative"])
+@pytest.mark.parametrize("name", ["encode-report", "decode-report"])
+def test_a_report_path_naming_the_output_is_refused_before_the_work(
+        clip_y4m, encoded_bin, tmp_path, monkeypatch, capsys, name, spelling):
+    # both files would be renamed to one path, and only the report would stay
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    monkeypatch.chdir(tmp_path)
+    report = str(inputs / "o") if spelling == "same" else os.path.join(".", "in", "..", "in", "o")
+    assert _refusal_run(name, report, inputs, clip_y4m, encoded_bin, monkeypatch) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --report names the --out file: {str(inputs / 'o')!r}\n"
+    assert captured.out == "" and list(inputs.iterdir()) == []
+
+
 @pytest.mark.parametrize("change", ["report_made_a_directory", "out_directory_removed"])
 def test_an_output_path_changed_during_the_work_is_refused(clip_y4m, tmp_path, monkeypatch,
                                                            capsys, change):

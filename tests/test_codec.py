@@ -167,34 +167,76 @@ class TestMotion:
         dx, dy = reference_estimate_motion(cur, ref, block, search)
         assert np.array_equal(flow.dx, dx) and np.array_equal(flow.dy, dy)
 
-    @pytest.mark.parametrize("kind", ["uniform", "flat", "small_int"])
+    @pytest.mark.parametrize("kind", ["uniform", "flat", "small_int", "moved"])
     @pytest.mark.parametrize("block", [8, 16, 32])
     def test_sad_grids_are_numpys_block_sums(self, block, kind):
-        # Every candidate's SAD grid, not only the winner, must equal numpy's
-        # reduction bit for bit.  On uniform planes a float sum depends on its
-        # order, so reordering any addition of the kernel fails here; sides
-        # 1..17 give frames one block wide, where numpy sums a block as one run.
+        # Every summed candidate's SAD grid, not only the winner, must equal
+        # numpy's reduction bit for bit.  On uniform planes a float sum
+        # depends on its order, so reordering any addition of the kernel
+        # fails here; sides 1..17 give frames one block wide, where numpy sums
+        # a block as one run.  Each block's bound stays below its SAD, to the
+        # margin.  A grid the bounds skipped is +inf, and each of its blocks'
+        # true SADs must exceed that block's least SAD.  With
+        # _GROUP_BYTES = 0 the kernel sums one candidate per call, which is
+        # where the search skips; a translated texture ("moved") skips some.
         rng = np.random.default_rng(block)
         search = motion.MOTION_SEARCH
+        nd = 2 * search + 1
         sides = (1, 15, 16, 17, 33, 70)
+        skipped = 0
         for h in sides:
             for w in sides:
                 if kind == "uniform":
                     cl, rl = rng.uniform(0, 255, (2, h, w))
                 elif kind == "flat":
                     cl, rl = np.full((2, h, w), float(rng.integers(0, 256)))
-                else:
+                elif kind == "small_int":
                     cl, rl = rng.integers(0, 3, (2, h, w)).astype(np.float64)
-                with patch.object(motion, "MOTION_BLOCK", block):
-                    grids = motion._sad_grids(cl, rl)
+                else:
+                    big = rng.uniform(0, 255, (h + 6, w + 6))
+                    cl, rl = big[1 : h + 1, 5 : w + 5], big[3 : h + 3, 3 : w + 3]
                 nby, nbx = -(-h // block), -(-w // block)
                 padded_ref = np.pad(rl, search, mode="edge")
-                for dy in range(2 * search + 1):
-                    for dx in range(2 * search + 1):
+                want = np.empty((nd, nd, nby, nbx))
+                for dy in range(nd):
+                    for dx in range(nd):
                         err = np.abs(cl - padded_ref[dy : dy + h, dx : dx + w])
                         err = np.pad(err, ((0, nby * block - h), (0, nbx * block - w)))
-                        want = err.reshape(nby, block, nbx, block).sum(axis=(1, 3))
-                        assert grids[dy, dx].tobytes() == want.tobytes(), (h, w, dy, dx)
+                        want[dy, dx] = err.reshape(nby, block, nbx, block).sum(axis=(1, 3))
+                if min(h, w) >= motion._SUB:   # the bound is below every SAD, to the margin
+                    bounds = motion._bounds(cl, padded_ref, block)
+                    tol = 1e-9 * block**2 * (np.abs(cl).max() + np.abs(rl).max())
+                    assert np.all(bounds <= want + tol), (h, w)
+                for group_bytes in (motion._GROUP_BYTES, 0):
+                    with patch.multiple(motion, MOTION_BLOCK=block, _GROUP_BYTES=group_bytes):
+                        grids = motion._sad_grids(cl, rl)
+                    summed = np.isfinite(grids).all(axis=(2, 3))
+                    for dy, dx in zip(*np.nonzero(summed)):
+                        assert grids[dy, dx].tobytes() == want[dy, dx].tobytes(), (h, w, dy, dx)
+                    assert np.all(grids[~summed] == np.inf)
+                    assert np.all(want[~summed] > want.min(axis=(0, 1))), (h, w)
+                    skipped += np.count_nonzero(~summed)
+        if kind == "moved":
+            assert skipped
+
+    @pytest.mark.parametrize("reference", ["flat", "translated"])
+    def test_bail_out(self, reference):
+        # At 176x144 the kernel sums one candidate per call.  Against a flat
+        # reference every candidate of a block has the same bound and SAD, so
+        # the bail-out fires: no block-wide bounds and no skipped candidate.
+        # A translated texture takes the pruned path and skips candidates.
+        rng = np.random.default_rng(11)
+        big = rng.uniform(0, 255, (3, 160, 192))
+        cur = Frame(big[:, 4:148, 9:185])
+        ref = Frame(np.full((3, 144, 176), 90.0) if reference == "flat"
+                    else big[:, 6:150, 6:182])
+        with patch.object(motion, "_bounds", wraps=motion._bounds) as bounds:
+            grids = motion._sad_grids(cur.luma(), ref.luma())
+        skipped = np.isinf(grids).all(axis=(2, 3))
+        assert bounds.called == skipped.any() == (reference == "translated")
+        flow = estimate_motion(cur, ref)
+        dx, dy = reference_estimate_motion(cur, ref, 16, 8)
+        assert np.array_equal(flow.dx, dx) and np.array_equal(flow.dy, dy)
 
     @pytest.mark.parametrize("clip", [
         translating_square(3, 64, seed=3), textured_scene(3, 48, 56, seed=1),

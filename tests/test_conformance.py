@@ -61,12 +61,31 @@ PADDED_PINS = [
 ]
 
 
-@pytest.mark.parametrize("q,stream_sha256,frames_sha", PADDED_PINS)
-def test_padded_clip_pinned(q, stream_sha256, frames_sha):
-    stream, _ = encode_sequence(textured_scene(5, 50, 66, seed=3),
-                                CodecConfig(quality=q, gop=2, enhancement=True))
+# textured_scene(3, 144, 176, seed=1), GOP 2, both layers: the benchmark's
+# textured frame size, where the motion search skips candidates by their
+# sub-block bounds.  Recorded from the full search before it skipped any.
+BENCH_SIZE_PINS = [
+    (0, "6678e663685f4df3eb326ad796d005ea71666a53ecedb7442886e60e06a66a63",
+        "cfe9a9fc216d0170b1b4778c85fef8d1b8cee084ad38e049396f9ebc8bc2b183"),
+    (3, "cf4cf616583a6df3f370a260741aeb060fbb50b569c5420945c37f386dbbd01e",
+        "ccdfcf471347e1496f82a3c4a86ff608da4765a63ef50d8a58c91f8fcfc1643a"),
+]
+
+
+def _check_pinned(clip, q, stream_sha256, frames_sha):
+    stream, _ = encode_sequence(clip, CodecConfig(quality=q, gop=2, enhancement=True))
     raw = stream.serialize()
     assert hashlib.sha256(raw).hexdigest() == stream_sha256
     frames, report = decode_sequence(ScalableBitstream.deserialize(raw), "base+enh")
-    assert report.error is None and len(frames) == 5
+    assert report.error is None and len(frames) == len(clip)
     assert frames_sha256(frames) == frames_sha
+
+
+@pytest.mark.parametrize("q,stream_sha256,frames_sha", PADDED_PINS)
+def test_padded_clip_pinned(q, stream_sha256, frames_sha):
+    _check_pinned(textured_scene(5, 50, 66, seed=3), q, stream_sha256, frames_sha)
+
+
+@pytest.mark.parametrize("q,stream_sha256,frames_sha", BENCH_SIZE_PINS)
+def test_benchmark_size_clip_pinned(q, stream_sha256, frames_sha):
+    _check_pinned(textured_scene(3, 144, 176, seed=1), q, stream_sha256, frames_sha)
