@@ -10,7 +10,9 @@ as well (for example the parent commit), alternating which side goes first.
 The JSON holds the machine line; per side and per workload, the median and
 quartiles of each end-to-end metric and of its raw wall-time value
 (``raw_wall``); the per-q stream SHA-256 of every seed; and whether those
-hashes match across sides.  Exit code 1 means a run failed or was incorrect.
+hashes match across sides.  Exit code 1 means a run failed or was incorrect;
+exit code 2 means bad arguments (a repeated seed or workload, or a workload
+BENCHMARK.json does not declare), refused before the first run.
 """
 
 from __future__ import annotations
@@ -96,7 +98,14 @@ def main(argv=None) -> int:
     if args.seconds <= 0:
         ap.error("--seconds must be positive")
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in declared["workloads"]]
+    names = [w["name"] for w in declared["workloads"]]
+    workloads = args.workloads or names
+    unknown = [w for w in workloads if w not in names]
+    if unknown:
+        ap.error(f"--workloads: {' '.join(unknown)} not in BENCHMARK.json")
+    for flag, values in (("--seeds", args.seeds), ("--workloads", workloads)):
+        if len(set(values)) < len(values):   # runs are keyed by seed and workload
+            ap.error(f"{flag}: a value is repeated")
 
     sides = {"this": ROOT}
     if args.against:

@@ -63,10 +63,7 @@ def estimate_motion(cur: Frame, ref: Frame) -> FlowField:
     for ``err.reshape(nby, block, nbx, block).sum(axis=(1, 3))``, and the
     tests check every candidate's SAD grid against that reduction.
 
-    Where the kernel sums one candidate per call (its error buffer,
-    8 * block**2 * nby * nbx bytes, is over half of ``_GROUP_BYTES``: frames
-    over 128 x 128 pixels in whole blocks, as both benchmark clips are), the
-    search skips, exactly, candidates that cannot win, by multilevel
+    The search skips, exactly, candidates that cannot win, by multilevel
     successive elimination (Li & Salari, IEEE TIP 4(1), 1995; Gao, Duanmu &
     Zou, IEEE TIP 9(3), 2000):
 
@@ -92,8 +89,8 @@ def estimate_motion(cur: Frame, ref: Frame) -> FlowField:
     - **Bail-out.** A candidate is skipped only if every block rules it out.
       So the block with the least zero-vector SAD is checked first.  If none
       of its bounds exceeds its least SAD plus ``tol``, it rules nothing out,
-      and every candidate is summed in raster order without bounds.  A
-      static background's exact SAD ties take this path.
+      and every candidate is summed in ring order without bounds.  A static
+      background's exact SAD ties take this path.
     """
     if (cur.height, cur.width) != (ref.height, ref.width):
         raise ValueError("frames differ in size")
@@ -116,8 +113,6 @@ def _tie_order(search: int) -> np.ndarray:
     return tie
 
 
-# Error-buffer budget of one group of candidates, well inside a 2 MiB L2 cache.
-_GROUP_BYTES = 256 * 1024
 _SUB = 4   # side of the sub-blocks whose sums bound a block's SAD (_sub_sums adds 4)
 
 
@@ -128,67 +123,58 @@ def _sad_grids(cl: np.ndarray, rl: np.ndarray) -> np.ndarray:
 
     The planes are laid out column-in-block first, ``[c, y, bx]``, so each
     addition of ``estimate_motion``'s order is one elementwise add of
-    contiguous planes, over all blocks and a group of candidates.
+    contiguous planes, over all blocks of one candidate.
     """
     block, search = MOTION_BLOCK, MOTION_SEARCH   # block is a multiple of 8
     h, w = cl.shape
     nby, nbx = -(-h // block), -(-w // block)
     wide = block + 2 * search
     nd = 2 * search + 1
-    cl_t = np.pad(cl, ((0, 0), (0, nbx * block - w))).reshape(h, nbx, block).transpose(2, 0, 1)
-    cl_t = np.ascontiguousarray(cl_t)[:, None]                       # [c, 1, y, bx]
+    cl_t = np.ascontiguousarray(
+        np.pad(cl, ((0, 0), (0, nbx * block - w))).reshape(h, nbx, block).transpose(2, 0, 1))
     padded_ref = np.pad(rl, ((search, search), (search, search + nbx * block - w)), mode="edge")
+    # [o, y, bx]: the candidate (dy, dx) reads o = c + search + dx, rows y + search + dy
     ref_t = np.ascontiguousarray(
         sliding_window_view(padded_ref, wide, axis=1)[:, ::block].transpose(2, 0, 1))
-    # [o, dy, y, bx]: the candidate (dy, dx) reads o = c + search + dx, rows y + search + dy
-    ref_win = sliding_window_view(ref_t, h, axis=1).transpose(0, 1, 3, 2)
 
-    group = max(1, min(nd, _GROUP_BYTES // (8 * block * nby * block * nbx)))
-    err = np.zeros((block, group, nby * block, nbx))   # rows past h stay zero
+    err = np.zeros((block, nby * block, nbx))   # rows past h stay zero
     sads = np.full((nd, nd, nby, nbx), np.inf)
-    cols = w - (nbx - 1) * block                       # columns of the last block column
+    cols = w - (nbx - 1) * block                # columns of the last block column
 
-    def run(dy, dx, g):
-        """Sum the candidates (dy .. dy + g - 1, dx), grid indices, into ``sads``."""
-        e = err[:, :g]
-        np.subtract(cl_t, ref_win[dx : dx + block, dy : dy + g], out=e[:, :, :h])
-        np.abs(e, out=e)
+    def run(dy, dx):
+        """Sum the candidate (dy, dx), grid indices, into ``sads``."""
+        np.subtract(cl_t, ref_t[dx : dx + block, dy : dy + h], out=err[:, :h])
+        np.abs(err, out=err)
         if cols < block:
-            e[cols:, ..., -1] = 0.0                    # the zero padding past the right edge
+            err[cols:, :, -1] = 0.0             # the zero padding past the right edge
         if nbx > 1:
             # one run per block row; numpy reduces an axis that is not
             # the innermost in order, so the rows add top to bottom
-            rows = _pairwise(e).reshape(g, nby, block, nbx)
-            np.add.reduce(rows, axis=2, out=sads[dy : dy + g, dx])
+            rows = _pairwise(err).reshape(nby, block, nbx)
+            np.add.reduce(rows, axis=1, out=sads[dy, dx])
         else:
             # numpy's own block sum: pixel (y, c) of a block is term y * block + c
-            runs = e[..., 0].transpose(1, 2, 0).reshape(g, nby, block * block)
-            sads[dy : dy + g, dx, :, 0] = runs.sum(axis=-1)
+            sads[dy, dx, :, 0] = err[..., 0].T.reshape(nby, block * block).sum(axis=-1)
 
     zero = (search, search)
-    prune = False
-    if group == 1:   # one candidate per call, so a skipped candidate skips a call
-        run(*zero, 1)
-        # estimate_motion's margin; a NaN or inf pixel makes every test with it false
-        tol = 1e-9 * block * block * (np.abs(cl).max() + np.abs(rl).max())
-        prune = _can_rule_out(cl, padded_ref, sads[zero], block, tol)
-    if not prune:
-        for dx in range(nd):
-            for dy in range(0, nd, group):
-                if group > 1 or (dy, dx) != zero:
-                    run(dy, dx, min(group, nd - dy))
+    run(*zero)
+    tie = _tie_order(search)
+    # estimate_motion's margin; a NaN or inf pixel makes every test with it false
+    tol = 1e-9 * block * block * (np.abs(cl).max() + np.abs(rl).max())
+    if not _can_rule_out(cl, padded_ref, sads[zero], block, tol):
+        for dy, dx in tie[1:].tolist():   # nothing can be skipped
+            run(dy, dx)
         return sads
 
     # Visit the rings in tie-break order and skip each candidate that the
     # sub-block bounds rule out for every block (see estimate_motion).
     bounds = _bounds(cl, padded_ref, block)
     best = sads[zero].copy()
-    tie = _tie_order(search)
     rings = np.split(tie, np.searchsorted(np.abs(tie - search).sum(axis=1), range(1, nd)))
     for dys, dxs in (ring.T for ring in rings[1:]):
         needed = (bounds[dys, dxs] <= best + tol).any(axis=(1, 2))
         for dy, dx in zip(dys[needed], dxs[needed]):
-            run(dy, dx, 1)
+            run(dy, dx)
         np.minimum(best, sads[dys, dxs].min(axis=0), out=best)
     return sads
 

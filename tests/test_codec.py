@@ -176,9 +176,8 @@ class TestMotion:
         # fails here; sides 1..17 give frames one block wide, where numpy sums
         # a block as one run.  Each block's bound stays below its SAD, to the
         # margin.  A grid the bounds skipped is +inf, and each of its blocks'
-        # true SADs must exceed that block's least SAD.  With
-        # _GROUP_BYTES = 0 the kernel sums one candidate per call, which is
-        # where the search skips; a translated texture ("moved") skips some.
+        # true SADs must exceed that block's least SAD.  A translated
+        # texture ("moved") skips some.
         rng = np.random.default_rng(block)
         search = motion.MOTION_SEARCH
         nd = 2 * search + 1
@@ -207,36 +206,37 @@ class TestMotion:
                     bounds = motion._bounds(cl, padded_ref, block)
                     tol = 1e-9 * block**2 * (np.abs(cl).max() + np.abs(rl).max())
                     assert np.all(bounds <= want + tol), (h, w)
-                for group_bytes in (motion._GROUP_BYTES, 0):
-                    with patch.multiple(motion, MOTION_BLOCK=block, _GROUP_BYTES=group_bytes):
-                        grids = motion._sad_grids(cl, rl)
-                    summed = np.isfinite(grids).all(axis=(2, 3))
-                    for dy, dx in zip(*np.nonzero(summed)):
-                        assert grids[dy, dx].tobytes() == want[dy, dx].tobytes(), (h, w, dy, dx)
-                    assert np.all(grids[~summed] == np.inf)
-                    assert np.all(want[~summed] > want.min(axis=(0, 1))), (h, w)
-                    skipped += np.count_nonzero(~summed)
+                with patch.object(motion, "MOTION_BLOCK", block):
+                    grids = motion._sad_grids(cl, rl)
+                summed = np.isfinite(grids).all(axis=(2, 3))
+                for dy, dx in zip(*np.nonzero(summed)):
+                    assert grids[dy, dx].tobytes() == want[dy, dx].tobytes(), (h, w, dy, dx)
+                assert np.all(grids[~summed] == np.inf)
+                assert np.all(want[~summed] > want.min(axis=(0, 1))), (h, w)
+                skipped += np.count_nonzero(~summed)
         if kind == "moved":
             assert skipped
 
     @pytest.mark.parametrize("reference", ["flat", "translated"])
     def test_bail_out(self, reference):
-        # At 176x144 the kernel sums one candidate per call.  Against a flat
-        # reference every candidate of a block has the same bound and SAD, so
-        # the bail-out fires: no block-wide bounds and no skipped candidate.
-        # A translated texture takes the pruned path and skips candidates.
+        # Every frame size takes the same search, so a 176x144 frame and a
+        # 64x64 crop behave alike.  Against a flat reference every candidate
+        # of a block has the same bound and SAD, so the bail-out fires: no
+        # block-wide bounds and no skipped candidate.  A translated texture
+        # takes the pruned path and skips candidates.
         rng = np.random.default_rng(11)
         big = rng.uniform(0, 255, (3, 160, 192))
-        cur = Frame(big[:, 4:148, 9:185])
-        ref = Frame(np.full((3, 144, 176), 90.0) if reference == "flat"
-                    else big[:, 6:150, 6:182])
-        with patch.object(motion, "_bounds", wraps=motion._bounds) as bounds:
-            grids = motion._sad_grids(cur.luma(), ref.luma())
-        skipped = np.isinf(grids).all(axis=(2, 3))
-        assert bounds.called == skipped.any() == (reference == "translated")
-        flow = estimate_motion(cur, ref)
-        dx, dy = reference_estimate_motion(cur, ref, 16, 8)
-        assert np.array_equal(flow.dx, dx) and np.array_equal(flow.dy, dy)
+        for h, w in ((144, 176), (64, 64)):
+            cur = Frame(big[:, 4 : h + 4, 9 : w + 9])
+            ref = Frame(np.full((3, h, w), 90.0) if reference == "flat"
+                        else big[:, 6 : h + 6, 6 : w + 6])
+            with patch.object(motion, "_bounds", wraps=motion._bounds) as bounds:
+                grids = motion._sad_grids(cur.luma(), ref.luma())
+            skipped = np.isinf(grids).all(axis=(2, 3))
+            assert bounds.called == skipped.any() == (reference == "translated"), (h, w)
+            flow = estimate_motion(cur, ref)
+            dx, dy = reference_estimate_motion(cur, ref, 16, 8)
+            assert np.array_equal(flow.dx, dx) and np.array_equal(flow.dy, dy), (h, w)
 
     @pytest.mark.parametrize("clip", [
         translating_square(3, 64, seed=3), textured_scene(3, 48, 56, seed=1),
