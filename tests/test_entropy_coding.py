@@ -1,5 +1,6 @@
 """Tests for the Laplace-box probability model and the range coder."""
 
+import hashlib
 import math
 import sys
 
@@ -266,6 +267,31 @@ class TestRangeCoder:
         bs = range_encode(symbols, field)
         assert np.array_equal(range_decode(bs, field), symbols)
         assert bs.bit_length <= estimate_rate(symbols, field) * 1.01 + 64.0
+
+
+def carry_plane(seed):
+    """A small zero-mean plane of one quarter-octave scale, clipped to +/- 64."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 401))
+    scale = 2.0 ** (int(rng.integers(-4, 25)) / 4)
+    symbols = np.clip(np.round(rng.laplace(0.0, scale, n)), -64, 64).astype(np.int64)
+    return symbols, LaplaceParamField(np.zeros(n), np.full(n, scale))
+
+
+# Found by instrumenting the coder's carry: seed 7's flush value overflows 64
+# bits, so its carry reaches bytes already written, and one carry of seed
+# 6341's stream turns two consecutive 0xFF bytes into 0x00.  The digests pin
+# the streams of the carry-propagating coder these planes were searched on.
+@pytest.mark.parametrize("seed, size, digest", [
+    (7, 378, "d2d3caed59124ec6b94ec31252d6ba76ed986447921ec9cca1905c60a96a41dd"),
+    (6341, 394, "6dac704adbe3a457d882bd93d05a704be9c95d6c1bbfa75bf851ca1d00ff72fb"),
+], ids=["flush-carries", "carry-crosses-two-ff"])
+def test_carries_keep_their_bytes(seed, size, digest):
+    symbols, field = carry_plane(seed)
+    assert symbols.size == size
+    data = range_encode(symbols, field, half_width=64)
+    assert hashlib.sha256(data).hexdigest() == digest
+    assert np.array_equal(range_decode(data, field, half_width=64), symbols)
 
 
 # ---------------------------------------------------------------------------
