@@ -3,6 +3,7 @@
 
     python3 scripts/bench.py --seeds 1 2 3 4 5 6 --seconds 60 --out BENCH_n.json
     python3 scripts/bench.py --seeds 1 2 3 --seconds 60 --against ../parent --out cmp.json
+    python3 scripts/bench.py --seeds 1 --seconds 10 --against ../parent --tier1 --out cmp.json
 
 For each workload and seed it runs ``perfbench/run.py --trace 0`` as a
 subprocess, in this checkout and, with ``--against DIR``, in the checkout DIR
@@ -10,21 +11,28 @@ as well (for example the parent commit), alternating which side goes first.
 The JSON holds the machine line; per side and per workload, the median and
 quartiles of each end-to-end metric and of its raw wall-time value
 (``raw_wall``); the per-q stream SHA-256 of every seed; and whether those
-hashes match across sides.  Exit code 1 means a run failed or was incorrect;
-exit code 2 means bad arguments (a repeated seed or workload, or a workload
-BENCHMARK.json does not declare), refused before the first run.
+hashes match across sides.  With ``--tier1`` it also runs the Tier-1 test
+command once per side, after the benchmark runs, and stores its wall seconds,
+its passed and failed counts and its five slowest tests.  Exit code 1 means a
+run failed or was incorrect, or a Tier-1 run did not pass; exit code 2 means
+bad arguments (a repeated seed or workload, or a workload BENCHMARK.json does
+not declare), refused before the first run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=5"]
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -41,6 +49,28 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         if key in ("machine", "run"):
             out[key] = json.loads(rest)
     return out
+
+
+def run_tier1(checkout: Path) -> dict:
+    """One Tier-1 run in ``checkout``, with its ``src`` first on PYTHONPATH:
+    wall seconds, exit code, passed and failed (or errored) test counts, and
+    the five slowest test phases pytest lists."""
+    path = os.pathsep.join(p for p in (str(checkout / "src"), os.environ.get("PYTHONPATH")) if p)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    wall = time.perf_counter() - start
+    lines = proc.stdout.splitlines()
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (\w+)", lines[-1] if lines else "")}
+    slowest = [{"s": float(m[1]), "phase": m[2], "test": m[3]} for m in
+               map(re.compile(r"([\d.]+)s (call|setup|teardown) +(\S.*)").fullmatch, lines) if m]
+    return {
+        "wall_s": round(wall, 2),
+        "exit_code": proc.returncode,
+        "passed": counts.get("passed", 0),
+        "failed": counts.get("failed", 0) + counts.get("error", 0) + counts.get("errors", 0),
+        "slowest": slowest,
+    }
 
 
 def spread(values: list[float]) -> dict:
@@ -93,6 +123,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", nargs="+",
                     help="default: every workload in BENCHMARK.json")
     ap.add_argument("--against", type=Path, help="a second checkout to run alternately")
+    ap.add_argument("--tier1", action="store_true",
+                    help="also run the Tier-1 tests once per side and record them")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     if args.seconds <= 0:
@@ -120,6 +152,12 @@ def main(argv=None) -> int:
                 print(f"bench: {w} seed {seed} {side}", file=sys.stderr, flush=True)
                 runs[side][w][seed] = run_once(sides[side], w, seed, args.seconds)
 
+    tier1 = {}
+    if args.tier1:
+        for side, checkout in sides.items():
+            print(f"bench: tier-1 {side}", file=sys.stderr, flush=True)
+            tier1[side] = run_tier1(checkout)
+
     machine = next(({k: v for k, v in r["machine"].items() if k != "seed"}
                     for by_w in runs["this"].values() for r in by_w.values()
                     if "machine" in r), None)
@@ -130,6 +168,8 @@ def main(argv=None) -> int:
         "machine": machine,
         "sides": summary,
     }
+    if args.tier1:
+        out["tier1"] = tier1
     if args.against:
         better = {m["name"]: m["better"] for m in declared["end_to_end"]}
         out["streams_match"] = {w: summary["this"][w]["stream_sha256"]
@@ -139,7 +179,8 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     print(f"bench: wrote {args.out}", file=sys.stderr)
     bad = [s[w] for s in summary.values() for w in workloads]
-    return 1 if any(b["errors"] or b["incorrect"] for b in bad) else 0
+    failed_tier1 = any(t["exit_code"] or t["failed"] for t in tier1.values())
+    return 1 if failed_tier1 or any(b["errors"] or b["incorrect"] for b in bad) else 0
 
 
 if __name__ == "__main__":

@@ -38,10 +38,12 @@ _INTRA_DC_LEVEL = 128.0     # mid-gray prior for the intra DC band
 COUNT_SUPPORT = 64          # support half-width of the per-block count
 _COUNT_SCALE = 16.0         # the count's Laplace model: mu 0, this scale
 _COEFFS = tf.BLOCK * tf.BLOCK
-# JPEG zigzag scan: anti-diagonals from DC, alternating direction
-_ZZ_ROW, _ZZ_COL = (np.array(c) for c in zip(*sorted(
+# JPEG zigzag scan as the raster index of each scan position: anti-diagonals
+# from DC, alternating direction
+_ZIGZAG = np.array([r * tf.BLOCK + c for r, c in sorted(
     np.ndindex(tf.BLOCK, tf.BLOCK),
-    key=lambda p: (p[0] + p[1], p[1] if (p[0] + p[1]) % 2 == 0 else p[0]))))
+    key=lambda p: (p[0] + p[1], p[1] if (p[0] + p[1]) % 2 == 0 else p[0]))])
+_RASTER = np.argsort(_ZIGZAG)   # the scan position of each raster index
 
 
 def palette_scale(b: np.ndarray) -> np.ndarray:
@@ -117,18 +119,18 @@ def _reconstruct(symbols: np.ndarray, predictor: np.ndarray, offset,
 # both sides rebuild the frame with _reconstruct.  The kept blocks are coded
 # R, then G, then B.  The payload is two range-coded sub-streams: every
 # block's count, then the first ``count`` coefficients of every block in
-# zigzag order.  A frame without kept blocks has an empty payload.
+# zigzag order: the counts' prefix mask over the plane taken once to (blocks,
+# 64) zigzag order.  A frame without kept blocks has an empty payload.
 
-def _scan(counts: np.ndarray):
-    """Index of the first ``counts[i]`` zigzag positions of each block i,
-    block by block, into a (blocks, 8, 8) array."""
-    blocks, k = np.nonzero(np.arange(_COEFFS) < counts[:, None])
-    return blocks, _ZZ_ROW[k], _ZZ_COL[k]
+def _zigzag(plane: np.ndarray) -> np.ndarray:
+    return plane.reshape(-1, _COEFFS).take(_ZIGZAG, axis=1)
 
 
-def _coded_params(params: LaplaceParamField, scan) -> LaplaceParamField:
-    block = (-1, tf.BLOCK, tf.BLOCK)
-    return LaplaceParamField(params.mu.reshape(block)[scan], params.scale.reshape(block)[scan])
+def _coded(params: LaplaceParamField, counts: np.ndarray):
+    """The mask of each block's first ``counts[i]`` scan positions, and the
+    Laplace field of the coefficients under it."""
+    mask = np.arange(_COEFFS) < counts[:, None]
+    return mask, LaplaceParamField(_zigzag(params.mu)[mask], _zigzag(params.scale)[mask])
 
 
 def _count_params(n: int) -> LaplaceParamField:
@@ -139,33 +141,32 @@ def _code_frame(target: np.ndarray, model):
     pred, offset, delta, params, keep = model
     kept = quantize(tf.forward((tf.blockify(target) - tf.blockify(pred))[:, keep]) / delta)
     frame = Frame(_reconstruct(kept, pred, offset, delta, keep))
-    symbols = kept.reshape(-1, tf.BLOCK, tf.BLOCK)
-    if not len(symbols):
+    scanned = _zigzag(kept)
+    if not len(scanned):
         return b"", frame
     # count = 1 + zigzag index of the last nonzero coefficient, 0 if none
-    counts = ((symbols[:, _ZZ_ROW, _ZZ_COL] != 0) * np.arange(1, _COEFFS + 1)).max(axis=1)
-    scan = _scan(counts)
+    counts = ((scanned != 0) * np.arange(1, _COEFFS + 1)).max(axis=1)
+    mask, field = _coded(params, counts)
     return pack([
         range_encode(counts, _count_params(counts.size), half_width=COUNT_SUPPORT),
-        range_encode(symbols[scan], _coded_params(params, scan), half_width=CODEC_SUPPORT),
+        range_encode(scanned[mask], field, half_width=CODEC_SUPPORT),
     ]), frame
 
 
 def _decode_frame(payload: bytes, model) -> Frame:
     pred, offset, delta, params, keep = model
-    symbols = np.zeros((3 * int(keep.sum()), tf.BLOCK, tf.BLOCK), dtype=np.int64)
-    if len(symbols):
+    scanned = np.zeros((3 * int(keep.sum()), _COEFFS), dtype=np.int64)
+    if len(scanned):
         count_raw, coeff_raw = unpack(payload, 2)
-        counts = range_decode(count_raw, _count_params(len(symbols)), half_width=COUNT_SUPPORT)
+        counts = range_decode(count_raw, _count_params(len(scanned)), half_width=COUNT_SUPPORT)
         if counts.min() < 0:
             raise CorruptStreamError("negative coefficient count")
-        scan = _scan(counts)
-        symbols[scan] = range_decode(coeff_raw, _coded_params(params, scan),
-                                     half_width=CODEC_SUPPORT)
+        mask, field = _coded(params, counts)
+        scanned[mask] = range_decode(coeff_raw, field, half_width=CODEC_SUPPORT)
     elif payload:
         raise CorruptStreamError("payload for a frame without kept blocks")
-    return Frame(_reconstruct(symbols.reshape(3, -1, tf.BLOCK, tf.BLOCK),
-                              pred, offset, delta, keep))
+    symbols = scanned.take(_RASTER, axis=1).reshape(3, -1, tf.BLOCK, tf.BLOCK)
+    return Frame(_reconstruct(symbols, pred, offset, delta, keep))
 
 
 def code_intra_frame(x: Frame, q: int):

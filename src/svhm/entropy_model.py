@@ -82,11 +82,12 @@ def estimate_rate(symbols: np.ndarray, params: LaplaceParamField) -> float:
 def quantize(x: np.ndarray) -> np.ndarray:
     """Round half away from zero to integer symbols."""
     x = np.asarray(x, dtype=np.float64)
-    if np.any(~np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("cannot quantize non-finite values")
     return _round_half_away(x)
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
-    """``quantize`` of a float64 array already known to be finite."""
-    return (np.sign(x) * np.floor(np.abs(x) + 0.5)).astype(np.int64)
+    """``quantize`` of a finite float64 array.  x - 0.5 is exactly -(|x| + 0.5)
+    for x < 0, so this is sign(x) * floor(|x| + 0.5) for every finite x."""
+    return np.trunc(x + np.copysign(0.5, x)).astype(np.int64)

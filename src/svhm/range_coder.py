@@ -1,12 +1,14 @@
 """Bit-exact byte-oriented range coder driven by the Laplace box model.
 
-64-bit low / 64-bit range, byte renormalization at 2^56, carry propagation
-into the output buffer.  Symbol frequencies come from a deterministic integer
-CDF (precision 2^20, ceiling-biased so quantized probabilities never fall
-below the model probability), making streams byte-identical across runs and
-platforms.  Each direction is one loop over a plane's symbols; the last is a
-16-bit checksum (frequency 1 of a uniform total), so truncated or corrupted
-streams are rejected instead of silently misdecoding.  The decoder stops at
+64-bit low / 64-bit range, byte renormalization at 2^56.  The encoder writes
+each byte with its carry bit and settles every carry, the flush's too, in one
+big-integer addition at the end.  Symbol frequencies come from a deterministic
+integer CDF (precision 2^20, ceiling-biased so quantized probabilities never
+fall below the model probability), making streams byte-identical across runs
+and platforms.  Both directions walk a plane's symbols as Python lists of
+``_CHUNK`` symbols at a time; the last symbol is a 16-bit checksum (frequency
+1 of a uniform total), so truncated or corrupted streams are rejected instead
+of silently misdecoding.  The decoder stops at
 the first read past the bytes a valid stream could need, and refuses a
 payload whose length is not the one its encoder writes for the decoded
 symbols, so bytes appended to a valid stream are refused too.
@@ -60,6 +62,7 @@ _CHECK_TOTAL = 1 << 16
 _CACHE_MAX_BYTES = 4 << 20
 _LISTED = 128   # a decode record lists the counts of round(mu) +/- this many symbols
 _INT_BYTES = sys.getsizeof(_CDF_PRECISION)   # a count's int object; every count is < 2^30
+_CHUNK = 4096   # symbols per Python list that either direction's loop walks
 
 
 class SupportError(ValueError):
@@ -68,15 +71,6 @@ class SupportError(ValueError):
 
 class CorruptStreamError(ValueError):
     """The stream is truncated, damaged, or was coded with other parameters."""
-
-
-def _carry(out: bytearray) -> None:
-    i = len(out) - 1
-    while i >= 0 and out[i] == 0xFF:
-        out[i] = 0
-        i -= 1
-    if i >= 0:
-        out[i] += 1
 
 
 def _flush(low: int, rng: int) -> tuple[int, int]:
@@ -202,50 +196,50 @@ def range_encode(
     params: LaplaceParamField,
     half_width: int = SUPPORT_HALF_WIDTH,
 ) -> Bitstream:
-    """Encode an integer symbol plane; decoder needs the identical params."""
-    symbols = np.asarray(symbols, dtype=np.int64)
+    """Encode a plane of integer values; decoder needs the identical params."""
+    symbols = np.asarray(symbols)
     if symbols.shape != params.mu.shape:
         raise ShapeMismatchError(
             f"symbol plane {symbols.shape} vs parameter field {params.mu.shape}"
         )
-    flat = symbols.ravel()
-    outside = np.abs(flat - params.mu.ravel()) > half_width
-    if outside.any():
-        bad = int(np.argmax(outside))
-        raise SupportError(
-            f"symbol {int(flat[bad])} at flat index {bad} outside mu +/- {half_width}"
-        )
+    if symbols.dtype.kind not in "biu":
+        bad = np.flatnonzero(np.isinf(symbols) | (np.trunc(symbols) != symbols))[:1]
+        if bad.size:
+            raise ValueError(f"symbol {symbols.flat[bad[0]]} at flat index {bad[0]} is not an integer")
+    flat = symbols.ravel().astype(np.int64, copy=False)
+    bad = np.flatnonzero(np.abs(flat - params.mu.ravel()) > half_width)[:1]
+    if bad.size:
+        raise SupportError(f"symbol {flat[bad[0]]} at flat index {bad[0]} outside mu +/- {half_width}")
 
     inv, bases, records = _cdf_tables(params, half_width)
-    width = 2 * half_width + 2
     cums = np.array([record[-1] for record in records], dtype=np.int64).ravel()
-    starts = inv * width
-    j = starts + (flat - bases)
-    lo = cums.take(j)
-    cum_low, freq, total = (lo.tolist(), (cums.take(j + 1) - lo).tolist(),
-                            cums.take(starts + (width - 1)).tolist())
+    j = flat - bases
+    j += inv * (2 * half_width + 2)
+    coded = np.empty((3, flat.size + 1), dtype=np.int64)   # cum_low, freq, total
+    cums.take(j, out=coded[0, :-1])
+    j += 1
+    cums.take(j, out=coded[1, :-1])
+    coded[1, :-1] -= coded[0, :-1]
+    np.array([record[0] for record in records]).take(inv, out=coded[2, :-1])
     # The checksum is the last symbol: frequency 1 of a uniform 16-bit total.
-    cum_low.append(_check_value(flat))
-    freq.append(1)
-    total.append(_CHECK_TOTAL)
-    low, rng, out = 0, _MASK64, bytearray()
-    for c, f, t in zip(cum_low, freq, total):
-        r = rng // t
-        low += c * r
-        if low > _MASK64:
-            _carry(out)
-            low &= _MASK64
-        rng = r * f
-        while rng < _RENORM:
-            out.append(low >> 56)
-            low = (low << 8) & _MASK64
-            rng <<= 8
+    coded[:, -1] = _check_value(flat), 1, _CHECK_TOTAL
+    # A byte keeps low's carry bit, so it is below 512: low and rng are below
+    # 2^64 after each renormalization, and low + rng never grows until the next.
+    low, rng, out = 0, _MASK64, []
+    for lo in range(0, flat.size + 1, _CHUNK):
+        for c, f, t in zip(*(a[lo:lo + _CHUNK].tolist() for a in coded)):
+            r = rng // t
+            low += c * r
+            rng = r * f
+            while rng < _RENORM:
+                out.append(low >> 56)
+                low = (low << 8) & _MASK64
+                rng <<= 8
     k, v = _flush(low, rng)
-    if v > _MASK64:
-        _carry(out)
-        v &= _MASK64
-    out += v.to_bytes(8, "big")[:k]
-    return Bitstream(out)
+    digits = np.array(out, dtype=np.int64)   # base-256 digits below 512: one sum settles them
+    stream = (int.from_bytes((digits & 0xFF).astype(np.uint8).tobytes(), "big")
+              + (int.from_bytes((digits >> 8).astype(np.uint8).tobytes(), "big") << 8))
+    return Bitstream(((stream << 64) + v).to_bytes(len(out) + 8, "big")[:len(out) + k])
 
 
 def range_decode(
@@ -264,9 +258,9 @@ def range_decode(
     inv, bases, tabs = _cdf_tables(params, half_width)
     # The checksum row is uniform, so its bisect index is the symbol itself;
     # its empty fast-path bounds send every target to the bisect.
-    inv = [*inv.tolist(), len(tabs)]
+    inv = np.append(inv, len(tabs))
     tabs = [*tabs, (_CHECK_TOTAL, 0, 0, 0, 0, range(_CHECK_TOTAL + 1), 0, None)]
-    js = [half_width] * n + [0]
+    decoded = np.empty(n + 1, dtype=np.int64)   # each symbol's index in its row
     below, above = half_width - 1, half_width + 1
     # The decoder reads 8 bytes ahead of the encoder: at renormalization
     # byte k it reads payload byte k + 8.  A valid stream has at most
@@ -277,41 +271,45 @@ def range_decode(
     data = bytes(payload) + bytes(8)
     code, rng, pos = int.from_bytes(data[:8], "big"), _MASK64, 8
     try:
-        for i, u in enumerate(inv):
-            total, a, b, c, e, listed, first, row = tabs[u]
-            r = rng // total
-            t = code // r
-            if b <= t < c:
-                rng = r * (c - b)
-                c = b
-            elif a <= t < b:
-                rng = r * (b - a)
-                c = a
-                js[i] = below
-            elif c <= t < e:
-                rng = r * (e - c)
-                js[i] = above
-            elif listed[0] <= t < listed[-1]:
-                j = bisect_right(listed, t) - 1
-                c = listed[j]
-                rng = r * (listed[j + 1] - c)
-                js[i] = first + j
-            elif t < total:
-                j = int(row.searchsorted(t, "right")) - 1
-                c, d = row[j : j + 2].tolist()
-                rng = r * (d - c)
-                js[i] = j
-            else:
-                raise CorruptStreamError("decoded target outside the coded total")
-            code -= c * r
-            while rng < _RENORM:
-                code = ((code << 8) | data[pos]) & _MASK64
-                pos += 1
-                rng <<= 8
+        for lo in range(0, n + 1, _CHUNK):
+            us = inv[lo:lo + _CHUNK].tolist()
+            js = [half_width] * len(us)
+            for i, u in enumerate(us):
+                total, a, b, c, e, listed, first, row = tabs[u]
+                r = rng // total
+                t = code // r
+                if b <= t < c:
+                    rng = r * (c - b)
+                    c = b
+                elif a <= t < b:
+                    rng = r * (b - a)
+                    c = a
+                    js[i] = below
+                elif c <= t < e:
+                    rng = r * (e - c)
+                    js[i] = above
+                elif listed[0] <= t < listed[-1]:
+                    j = bisect_right(listed, t) - 1
+                    c = listed[j]
+                    rng = r * (listed[j + 1] - c)
+                    js[i] = first + j
+                elif t < total:
+                    j = int(row.searchsorted(t, "right")) - 1
+                    c, d = row[j : j + 2].tolist()
+                    rng = r * (d - c)
+                    js[i] = j
+                else:
+                    raise CorruptStreamError("decoded target outside the coded total")
+                code -= c * r
+                while rng < _RENORM:
+                    code = ((code << 8) | data[pos]) & _MASK64
+                    pos += 1
+                    rng <<= 8
+            decoded[lo:lo + _CHUNK] = js
     except IndexError:
         raise CorruptStreamError("stream exhausted: decoder read past the payload") from None
-    symbols = np.array(js[:n], dtype=np.int64) + bases
-    if js[n] != _check_value(symbols):
+    symbols = decoded[:n] + bases
+    if decoded[n] != _check_value(symbols):
         raise CorruptStreamError("checksum mismatch: stream truncated or corrupted")
     # The decoder's code is the 8-byte window at its read position minus the
     # encoder's low, so the flush length follows from the two.

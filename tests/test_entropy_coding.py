@@ -3,6 +3,7 @@
 import hashlib
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,6 +194,43 @@ class TestRangeCoder:
         field = LaplaceParamField(np.zeros(3), np.ones(3))
         with pytest.raises(SupportError, match=r"symbol 65 at flat index 1 outside mu \+/- 64"):
             range_encode(np.array([0, 65, 0]), field)
+
+    @pytest.mark.parametrize("plane, index", [
+        ([2.7, -1.2, 0.5], 0),
+        ([0.0, 3.0, np.nan], 2),
+        ([[1.0, -0.0], [np.inf, 2.0]], 2),
+        ([4.0, -np.inf], 1),
+        ([-7.0, -2.5], 1),
+    ])
+    def test_non_integral_symbols_refused(self, plane, index):
+        # refused before the int64 cast, which would truncate 2.7 to 2
+        plane = np.array(plane)
+        field = LaplaceParamField(np.zeros(plane.shape), np.ones(plane.shape))
+        with pytest.raises(ValueError, match=f"at flat index {index} is not an integer") as err:
+            range_encode(plane, field)
+        assert not isinstance(err.value, SupportError)
+
+    def test_integral_floats_accepted(self):
+        symbols = np.array([3.0, -2.0, -0.0, 64.0])
+        field = LaplaceParamField(np.zeros(4), np.full(4, 2.0))
+        data = range_encode(symbols, field)
+        assert data == range_encode(symbols.astype(np.int64), field)
+        assert np.array_equal(range_decode(data, field), symbols)
+
+    def test_memory_per_symbol_is_bounded(self):
+        # Neither direction holds a Python list as long as the plane: a list
+        # of ints costs 8 bytes a slot plus an object per value past 256.
+        symbols, field = codec_like_case(np.random.default_rng(11), 50_000, 1024)
+        data = range_encode(symbols, field, half_width=1024)   # fills the row cache
+        for call in (lambda: range_encode(symbols, field, half_width=1024),
+                     lambda: range_decode(data, field, half_width=1024)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 100 * symbols.size
 
     def test_wider_half_width_accepts(self):
         field = LaplaceParamField(np.zeros(3), np.full(3, 4.0))
