@@ -38,8 +38,7 @@ _INTRA_DC_LEVEL = 128.0     # mid-gray prior for the intra DC band
 COUNT_SUPPORT = 64          # support half-width of the per-block count
 _COUNT_SCALE = 16.0         # the count's Laplace model: mu 0, this scale
 _COEFFS = tf.BLOCK * tf.BLOCK
-# JPEG zigzag scan as the raster index of each scan position: anti-diagonals
-# from DC, alternating direction
+# JPEG zigzag scan (anti-diagonals from DC, alternating) as raster indices
 _ZIGZAG = np.array([r * tf.BLOCK + c for r, c in sorted(
     np.ndindex(tf.BLOCK, tf.BLOCK),
     key=lambda p: (p[0] + p[1], p[1] if (p[0] + p[1]) % 2 == 0 else p[0]))])
@@ -155,17 +154,18 @@ def _code_frame(target: np.ndarray, model):
 
 def _decode_frame(payload: bytes, model) -> Frame:
     pred, offset, delta, params, keep = model
-    scanned = np.zeros((3 * int(keep.sum()), _COEFFS), dtype=np.int64)
-    if len(scanned):
+    symbols = np.zeros((3 * int(keep.sum()), _COEFFS), dtype=np.int64)   # zigzag order
+    if len(symbols):
         count_raw, coeff_raw = unpack(payload, 2)
-        counts = range_decode(count_raw, _count_params(len(scanned)), half_width=COUNT_SUPPORT)
+        counts = range_decode(count_raw, _count_params(len(symbols)), half_width=COUNT_SUPPORT)
         if counts.min() < 0:
             raise CorruptStreamError("negative coefficient count")
         mask, field = _coded(params, counts)
-        scanned[mask] = range_decode(coeff_raw, field, half_width=CODEC_SUPPORT)
+        symbols[mask] = range_decode(coeff_raw, field, half_width=CODEC_SUPPORT)
     elif payload:
         raise CorruptStreamError("payload for a frame without kept blocks")
-    symbols = scanned.take(_RASTER, axis=1).reshape(3, -1, tf.BLOCK, tf.BLOCK)
+    # rebound, so the zigzag copy is freed before the reconstruction's buffers
+    symbols = symbols.take(_RASTER, axis=1).reshape(3, -1, tf.BLOCK, tf.BLOCK)
     return Frame(_reconstruct(symbols, pred, offset, delta, keep))
 
 

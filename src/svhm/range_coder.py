@@ -220,7 +220,7 @@ def range_encode(
     j += 1
     cums.take(j, out=coded[1, :-1])
     coded[1, :-1] -= coded[0, :-1]
-    np.array([record[0] for record in records]).take(inv, out=coded[2, :-1])
+    np.array([record[0] for record in records], dtype=np.int64).take(inv, out=coded[2, :-1])
     # The checksum is the last symbol: frequency 1 of a uniform 16-bit total.
     coded[:, -1] = _check_value(flat), 1, _CHECK_TOTAL
     # A byte keeps low's carry bit, so it is below 512: low and rng are below
