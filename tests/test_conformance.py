@@ -89,3 +89,31 @@ def test_padded_clip_pinned(q, stream_sha256, frames_sha):
 @pytest.mark.parametrize("q,stream_sha256,frames_sha", BENCH_SIZE_PINS)
 def test_benchmark_size_clip_pinned(q, stream_sha256, frames_sha):
     _check_pinned(textured_scene(3, 144, 176, seed=1), q, stream_sha256, frames_sha)
+
+
+# The base layer alone, pinned apart from the whole streams above: SHA-256 of
+# every record's base_motion and base_signal concatenated in order, and of the
+# base-only decode of the stream with its enhancement stripped.  A change to
+# the enhancement layer (its context, step or scales) leaves these unchanged.
+BASE_LAYER_PINS = [
+    ("conformance", 1, "7a9d0ae9688c388dfb7aa2caa642cb3ba2f5e37b41608401a937b9cd42b3c15c",
+        "d897a796605941e021af67764f1576af4b87de3eb8e6a3e9cc06604176f1063a"),
+    ("textured", 0, "b2e00bb583bd256cea2d22a204ae6db297e968f8903cf5c1a829e7962712806d",
+        "9f7e103b3e011759158d7e663b922d1f84895ec4ec785aeb7d6ae1c5e282de5c"),
+    ("textured", 3, "dae72633a71b87f5184ea405f53b352770633f9a60c607c673542877efddcc8a",
+        "8ca9a573fd5b19c5cfc6f90f28e2abd3c6f9da6e4c6519c86e690598a7f5f7b6"),
+]
+
+
+@pytest.mark.parametrize("clip,q,base_sha256,frames_sha", BASE_LAYER_PINS)
+def test_base_layer_pinned(clip, q, base_sha256, frames_sha):
+    if clip == "conformance":   # the conformance stream's clip and GOP
+        frames, gop = translating_square(8, 64, seed=0), 4
+    else:                       # BENCH_SIZE_PINS' clip and GOP
+        frames, gop = textured_scene(3, 144, 176, seed=1), 2
+    stream, _ = encode_sequence(frames, CodecConfig(quality=q, gop=gop, enhancement=True))
+    base = b"".join(rec.base_motion + rec.base_signal for rec in stream.frames)
+    assert hashlib.sha256(base).hexdigest() == base_sha256
+    decoded, report = decode_sequence(stream.strip_enhancement(), "base")
+    assert report.error is None and len(decoded) == len(frames)
+    assert frames_sha256(decoded) == frames_sha
