@@ -127,9 +127,14 @@ def _zigzag(plane: np.ndarray) -> np.ndarray:
 
 def _coded(params: LaplaceParamField, counts: np.ndarray):
     """The mask of each block's first ``counts[i]`` scan positions, and the
-    Laplace field of the coefficients under it."""
+    Laplace field of the coefficients under it, gathered from the (blocks,
+    64) raster view at the masked positions only (the intra field is a
+    broadcast view, which that reshape does not copy)."""
     mask = np.arange(_COEFFS) < counts[:, None]
-    return mask, LaplaceParamField(_zigzag(params.mu)[mask], _zigzag(params.scale)[mask])
+    rows, cols = np.nonzero(mask)
+    at = (rows, _ZIGZAG[cols])
+    return mask, LaplaceParamField(params.mu.reshape(-1, _COEFFS)[at],
+                                   params.scale.reshape(-1, _COEFFS)[at])
 
 
 def _count_params(n: int) -> LaplaceParamField:

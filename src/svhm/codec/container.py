@@ -3,11 +3,12 @@
 Layout (all integers little-endian):
 
     magic  b"SVHM"
-    u8     version (2; other versions are refused)
+    u8     version (3; other versions are refused)
     u16    width, u16 height
     u32    frame count
     u8     gop, u8 quality, then three codec constants, refused if different:
-           u8 motion block 16, u8 search 8, u8 fusion weight round(0.5 * 255)
+           u8 motion block 16, u8 search 8, u8 fusion weight 32 (the base
+           frame's share of the enhancement context, in 255ths)
     per frame, four u32-length-prefixed sub-streams:
         base_motion, base_signal, enh_motion, enh_context
 
@@ -40,9 +41,9 @@ from .motion import MOTION_BLOCK, MOTION_SEARCH
 from .transform import QUALITY_STEPS
 
 _MAGIC = b"SVHM"
-_VERSION = 2
+_VERSION = 3
 MAX_PIXELS = 4096 * 2160
-# Header bytes 15..17: every version-2 stream carries these values.
+# Header bytes 15..17: every version-3 stream carries these values.
 _PINNED = (("block", MOTION_BLOCK), ("search", MOTION_SEARCH), ("fusion weight", FUSION_WEIGHT_Q))
 
 
@@ -136,7 +137,7 @@ class ScalableBitstream:
         check_header_fields(quality, gop)
         for (name, want), got in zip(_PINNED, raw[15:18]):
             if got != want:
-                raise ContainerError(f"{name} byte {got}: a version-2 stream carries {want}")
+                raise ContainerError(f"{name} byte {got}: a version-3 stream carries {want}")
         subs = unpack(raw[18:], 4 * count)
         return cls(width, height, gop, quality,
                    [FrameRecord(*subs[i : i + 4]) for i in range(0, len(subs), 4)])

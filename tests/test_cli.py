@@ -143,20 +143,30 @@ class TestEncodeDecode:
         assert err.startswith("error: ") and "even dimensions" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["odd.svhm"]
 
-    def test_version_1_stream_refused(self, encoded_bin, tmp_path, capsys):
-        # Version 1 coded every coefficient of a kept block; its payloads do
-        # not parse as version 2 coefficient payloads, so the parser refuses it.
+    @staticmethod
+    def _check_version_refused(encoded_bin, tmp_path, capsys, version):
         raw = bytearray(open(encoded_bin, "rb").read())
-        assert raw[4] == 2
-        raw[4] = 1
-        with pytest.raises(ContainerError, match="version 1"):
+        assert raw[4] == 3
+        raw[4] = version
+        with pytest.raises(ContainerError, match=f"version {version}"):
             ScalableBitstream.deserialize(bytes(raw))
-        src = tmp_path / "v1.svhm"
+        src = tmp_path / f"v{version}.svhm"
         src.write_bytes(bytes(raw))
         out = tmp_path / "x.y4m"
         assert main(["decode", "--in", str(src), "--out", str(out)]) == EXIT_USAGE
-        assert "unsupported container version 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: unsupported container version {version}\n"
         assert not out.exists()
+
+    def test_version_1_stream_refused(self, encoded_bin, tmp_path, capsys):
+        # Version 1 coded every coefficient of a kept block; its payloads do
+        # not parse as later coefficient payloads, so the parser refuses it.
+        self._check_version_refused(encoded_bin, tmp_path, capsys, 1)
+
+    def test_version_2_stream_refused(self, encoded_bin, tmp_path, capsys):
+        # Version 2 fused the enhancement context at 128/255 of the base
+        # frame, version 3 at 32/255: its enhancement frames would decode
+        # against the wrong context, so the parser refuses it.
+        self._check_version_refused(encoded_bin, tmp_path, capsys, 2)
 
     @pytest.mark.parametrize("command", ["encode", "decode"])
     @pytest.mark.parametrize("existing", [False, True])

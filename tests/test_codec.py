@@ -404,6 +404,24 @@ class TestCoding:
             assert all(np.array_equal(p, q) for p, q in zip(dec.rgb, recon.rgb))
             assert recon.allclose(x, tol=tf.pixel_error_bound(tf.quality_step(0)))
 
+    @pytest.mark.parametrize("layer", ["intra", "enhancement"])
+    def test_coded_field_is_the_masked_zigzag_field(self, layer):
+        # _coded gathers only the masked positions; it must give what the
+        # whole planes taken to zigzag order and then masked give.
+        rng = np.random.default_rng(20)
+        if layer == "intra":   # a broadcast field: one 8x8 row for every block
+            params = coding._intra_model(2, 32, 40)[3]
+            assert params.mu.strides[:2] == (0, 0)
+        else:
+            ctx, base = random_frame(rng, 32, 40), random_frame(rng, 32, 40)
+            params = coding._inter_model(ctx, np.ones((32, 40)), 2, base)[3]
+        counts = rng.integers(0, coding._COEFFS + 1, 3 * 4 * 5)
+        counts[:3] = [0, 1, coding._COEFFS]
+        mask, field = coding._coded(params, counts)
+        assert mask.sum() == counts.sum()
+        assert np.array_equal(field.mu, coding._zigzag(params.mu)[mask])
+        assert np.array_equal(field.scale, coding._zigzag(params.scale)[mask])
+
     def test_negative_count_is_corrupt(self):
         # A hand-built intra payload for a 32x32 frame (16 blocks per plane)
         # whose count stream holds -1.
@@ -502,12 +520,12 @@ class TestContainer:
     def test_header_fields(self):
         raw = self.make_stream().serialize()
         assert raw[:4] == b"SVHM"
-        assert raw[4] == 2
+        assert raw[4] == 3
         assert int.from_bytes(raw[5:7], "little") == 176
         assert int.from_bytes(raw[7:9], "little") == 144
         assert int.from_bytes(raw[9:13], "little") == 2
         # gop, quality, then the motion block, search range and fusion byte
-        assert raw[13:18] == bytes([32, 2, 16, 8, 128])
+        assert raw[13:18] == bytes([32, 2, 16, 8, 32])
 
     def test_bad_magic(self):
         with pytest.raises(ContainerError, match="magic"):

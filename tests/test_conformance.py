@@ -34,7 +34,7 @@ def test_conformance_stream():
     raw = (DATA / "conformance_square_q1.svhm").read_bytes()
     assert hashlib.sha256(raw).hexdigest() == meta["stream_sha256"]
 
-    # The encoder's own block, search and fusion byte (16, 8, 128) are not
+    # The encoder's own block, search and fusion byte (16, 8, 32) are not
     # options; the byte comparison pins them in the header.
     config = {k: meta["config"][k] for k in ("quality", "gop", "enhancement")}
     stream, _ = encode_sequence(translating_square(8, 64, seed=0), CodecConfig(**config))
@@ -50,25 +50,27 @@ def test_conformance_stream():
 # multiple of 8, so every plane goes through the edge-replicating pad.  Per q:
 # stream SHA-256 and decoded-frame SHA-256 (base+enh, the hash rule above).
 PADDED_PINS = [
-    (0, "87e2fb55f2d725e076b6be8e5f9a34bab2b7ba166c598732a1ec67867d9aa555",
-        "e6629389cb087ce416a2ea82fdf0259aca6173e1a320858a6b05f18fc4f72915"),
-    (1, "fa0c1855588c5f7f11997075551f855e476c3cf886f442e5709f6553ac5344d6",
-        "e178345f99eef1bf4a502bbf3547d3c2475ec36552dfbaf267761d6f20b8465b"),
-    (2, "abd4e8de8bf8692490f1926d6d47764025b145776643bdb468e1399a4a5fc93e",
-        "3dde18cab88399cb806ae9c03c93779bcd6eaca067814ebfb521278be557cd61"),
-    (3, "7f97d438a5af8b84a2b6007527bcac18f4404a690cbe5e5f106f81eaad212866",
-        "fb96a4b5c98a5f2dc195e951042b439df52dc4afa25699bd7e885a26666f1501"),
+    pytest.param(0, "a4932715a48c31f0b113ee7815dde90d13d2bb15898976ff64211150f35e6813",
+                 "2a8fa9177174e60dd42cfd9ec0336a324517dfa7adf2b83bd4da1c35b5c513dd", id="q0"),
+    pytest.param(1, "f62135238ae9340db141004f084eea2570825c689b3c29eb403e7fa4eb07dd94",
+                 "db5a0af4abd59fb1106b4a40a2db612384f1d6a77858860984edc4d047368d32", id="q1"),
+    pytest.param(2, "d4bfcac86610ded7343d8d5f054f8aff8a87d7eb55b840e30f534533abb8054f",
+                 "b117389256fe7905413709120f69c26e0a963fc0716e5f463ddbc25414543610", id="q2"),
+    pytest.param(3, "27545e7d8dc79f8ecc26b4e1e0edc61408e3876a6ea27d96f4a01360fa580bed",
+                 "8bdb7155f8457cc6abcc6804baea86213e6574c9d00e0739b74d3a52f53d03ed", id="q3"),
 ]
 
 
 # textured_scene(3, 144, 176, seed=1), GOP 2, both layers: the benchmark's
 # textured frame size, where the motion search skips candidates by their
-# sub-block bounds.  Recorded from the full search before it skipped any.
+# sub-block bounds.  First recorded from the full search before it skipped
+# any; re-recorded for container version 3, whose base sub-streams are those
+# of version 2 (BASE_LAYER_PINS).
 BENCH_SIZE_PINS = [
-    (0, "6678e663685f4df3eb326ad796d005ea71666a53ecedb7442886e60e06a66a63",
-        "cfe9a9fc216d0170b1b4778c85fef8d1b8cee084ad38e049396f9ebc8bc2b183"),
-    (3, "cf4cf616583a6df3f370a260741aeb060fbb50b569c5420945c37f386dbbd01e",
-        "ccdfcf471347e1496f82a3c4a86ff608da4765a63ef50d8a58c91f8fcfc1643a"),
+    pytest.param(0, "c98f64a9dcd820ad85271fed33a3361d0f4ee5bdc281fa0b034ca4954070a2c4",
+                 "8e1957f42a0a905d732888eb4fec1953bd79e017d26138c1fbec71eb959fd0e8", id="q0"),
+    pytest.param(3, "a7da94297067046d3094cad25c44ad707642fd9b128deeb5c23ac4d2e8c517f7",
+                 "5c6aa9c3d96180eab44cb9b5fe43f0994935d8016f5b4494951aac9cc5e21017", id="q3"),
 ]
 
 
