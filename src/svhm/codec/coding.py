@@ -131,8 +131,8 @@ def _coded(params: LaplaceParamField, counts: np.ndarray):
     64) raster view at the masked positions only (the intra field is a
     broadcast view, which that reshape does not copy)."""
     mask = np.arange(_COEFFS) < counts[:, None]
-    rows, cols = np.nonzero(mask)
-    at = (rows, _ZIGZAG[cols])
+    flat = np.flatnonzero(mask)   # block * 64 + scan position; shifts beat divmod
+    at = (flat >> 6, _ZIGZAG[flat & 63])
     return mask, LaplaceParamField(params.mu.reshape(-1, _COEFFS)[at],
                                    params.scale.reshape(-1, _COEFFS)[at])
 
