@@ -15,6 +15,9 @@ from .frames import Frame
 # MOTION_BLOCK block, each component within +/- MOTION_SEARCH pixels.
 MOTION_BLOCK = 16
 MOTION_SEARCH = 8
+# The encoder's early exit: a block whose mean |cur - ref| luma at the zero
+# vector is at most MOTION_STATIC (8-bit levels) takes the zero vector unsearched.
+MOTION_STATIC = 1.0
 
 
 @dataclass
@@ -42,11 +45,28 @@ class FlowField:
 
 
 def estimate_motion(cur: Frame, ref: Frame) -> FlowField:
-    """Full-search SAD over luma; deterministic tie-breaking.
+    """Full-search SAD over luma, except for static blocks; deterministic
+    tie-breaking.
 
-    Ties go to the smallest |dx| + |dy|, then to the earliest candidate in
-    raster order (dy outer, dx inner, each from -search to +search).
-    Reference pixels outside the frame repeat the nearest edge pixel.
+    - **Static blocks.** A block whose zero-vector SAD is at most
+      ``MOTION_STATIC`` times its in-frame pixel count takes the zero vector
+      without a search (an early exit after Tourapis, "Enhanced predictive
+      zonal search for single and multiple frame motion estimation", VCIP
+      2002).  On a fixed camera this skips the background and stops the
+      search chasing its noise.  At ``MOTION_STATIC`` = 0 the result is the
+      full search's, since a zero SAD already wins at the zero vector.  Only
+      the encoder decides this; the stream carries the vector as any other.
+
+    Every other block gets the full search.  Ties go to the smallest
+    |dx| + |dy|, then to the earliest candidate in raster order (dy outer, dx
+    inner, each from -search to +search).  Reference pixels outside the frame
+    repeat the nearest edge pixel.
+
+    When at most a quarter of the blocks remain and the frame is more than one
+    block wide, each remaining block is searched alone, all candidates in one
+    pass over its own window (``_block_sads``).  Otherwise the frame kernel
+    (``_sad_grids``) sums every block at every candidate it cannot rule out.
+    Both add each SAD in the same order, so the path changes no vector.
 
     Every SAD is a float sum in one fixed order, so the ties are bit-exact.
     A block's |cur - ref|, zero past the frame's edge up to whole blocks, is
@@ -63,7 +83,7 @@ def estimate_motion(cur: Frame, ref: Frame) -> FlowField:
     for ``err.reshape(nby, block, nbx, block).sum(axis=(1, 3))``, and the
     tests check every candidate's SAD grid against that reduction.
 
-    The search skips, exactly, candidates that cannot win, by multilevel
+    The frame kernel skips, exactly, candidates that cannot win, by multilevel
     successive elimination (Li & Salari, IEEE TIP 4(1), 1995; Gao, Duanmu &
     Zou, IEEE TIP 9(3), 2000):
 
@@ -89,16 +109,33 @@ def estimate_motion(cur: Frame, ref: Frame) -> FlowField:
     - **Bail-out.** A candidate is skipped only if every block rules it out.
       So the block with the least zero-vector SAD is checked first.  If none
       of its bounds exceeds its least SAD plus ``tol``, it rules nothing out,
-      and every candidate is summed in ring order without bounds.  A static
-      background's exact SAD ties take this path.
+      and every candidate is summed in ring order without bounds.  A flat or
+      noisy background, whose candidates all score about the same, takes
+      this path.
     """
     if (cur.height, cur.width) != (ref.height, ref.width):
         raise ValueError("frames differ in size")
-    search = MOTION_SEARCH
-    sads = _sad_grids(cur.luma(), ref.luma())
-    tie = _tie_order(search)
+    block, search = MOTION_BLOCK, MOTION_SEARCH
+    cl, rl = cur.luma(), ref.luma()
+    h, w = cl.shape
+    nby, nbx = -(-h // block), -(-w // block)
+    zero = np.pad(np.abs(cl - rl), ((0, nby * block - h), (0, nbx * block - w)))
+    zero = zero.reshape(nby, block, nbx, block).sum(axis=(1, 3))   # in the kernel's order
+    rows = np.minimum(block, h - block * np.arange(nby))
+    cols = np.minimum(block, w - block * np.arange(nbx))
+    moving = ~(zero <= MOTION_STATIC * np.outer(rows, cols))
     # candidates in tie-break order, so argmin's first minimum is the winner
-    winners = tie[np.argmin(sads[tie[:, 0], tie[:, 1]], axis=0)] - search
+    tie = _tie_order(search)
+    winners = np.zeros((nby, nbx, 2), dtype=np.int64)
+    if nbx > 1 and 4 * np.count_nonzero(moving) <= moving.size:
+        padded_ref = np.pad(rl, search, mode="edge")
+        for by, bx in zip(*np.nonzero(moving)):
+            sads = _block_sads(cl, padded_ref, by, bx)
+            winners[by, bx] = tie[np.argmin(sads[tie[:, 0], tie[:, 1]])] - search
+    else:
+        sads = _sad_grids(cl, rl)
+        best = tie[np.argmin(sads[tie[:, 0], tie[:, 1]], axis=0)] - search
+        winners[moving] = best[moving]
     return FlowField(winners[..., 1], winners[..., 0])
 
 
@@ -148,10 +185,7 @@ def _sad_grids(cl: np.ndarray, rl: np.ndarray) -> np.ndarray:
         if cols < block:
             err[cols:, :, -1] = 0.0             # the zero padding past the right edge
         if nbx > 1:
-            # one run per block row; numpy reduces an axis that is not
-            # the innermost in order, so the rows add top to bottom
-            rows = _pairwise(err).reshape(nby, block, nbx)
-            np.add.reduce(rows, axis=1, out=sads[dy, dx])
+            _row_runs(err, block, out=sads[dy, dx])
         else:
             # numpy's own block sum: pixel (y, c) of a block is term y * block + c
             sads[dy, dx, :, 0] = err[..., 0].T.reshape(nby, block * block).sum(axis=-1)
@@ -177,6 +211,34 @@ def _sad_grids(cl: np.ndarray, rl: np.ndarray) -> np.ndarray:
             run(dy, dx)
         np.minimum(best, sads[dys, dxs].min(axis=0), out=best)
     return sads
+
+
+def _block_sads(cl: np.ndarray, padded_ref: np.ndarray, by: int, bx: int) -> np.ndarray:
+    """SAD of block (by, bx) at every candidate, as (dy, dx), added in the
+    frame kernel's order for a frame more than one block wide: the candidates
+    stand where the kernel has the block columns.  ``padded_ref`` is the
+    reference edge-padded by the search range on every side."""
+    block, nd = MOTION_BLOCK, 2 * MOTION_SEARCH + 1
+    y0, x0 = by * block, bx * block
+    cur = cl[y0 : y0 + block, x0 : x0 + block]
+    bh, bw = cur.shape
+    window = padded_ref[y0 : y0 + bh + nd - 1, x0 : x0 + bw + nd - 1]
+    err = np.zeros((block, block, nd, nd))   # [c, y, dy, dx]; past the frame's edge stays 0
+    part = err[:bw, :bh]
+    np.subtract(cur.T[..., None, None],
+                sliding_window_view(window, (bh, bw)).transpose(3, 2, 0, 1), out=part)
+    np.abs(part, out=part)
+    return _row_runs(err.reshape(block, block, nd * nd), block).reshape(nd, nd)
+
+
+def _row_runs(err: np.ndarray, block: int, out=None) -> np.ndarray:
+    """Block sums of ``err``, laid out [c, y, i], in ``estimate_motion``'s
+    order: the lanes of each row run, then the runs top to bottom; overwrites
+    ``err``."""
+    rows = _pairwise(err)
+    # numpy reduces an axis that is not the innermost in order, so the runs
+    # add top to bottom
+    return np.add.reduce(rows.reshape(-1, block, rows.shape[-1]), axis=1, out=out)
 
 
 def _bounds(cl: np.ndarray, padded_ref: np.ndarray, block: int) -> np.ndarray:

@@ -107,10 +107,11 @@ class TestFrames:
 # Motion
 # ---------------------------------------------------------------------------
 
-def reference_estimate_motion(cur, ref, block, search):
+def reference_estimate_motion(cur, ref, block, search, static=motion.MOTION_STATIC):
     """The original per-candidate full search, kept as the oracle for
     ``estimate_motion``: clamped shifts, zero-padded block sums and a running
-    best with the documented tie rule."""
+    best with the documented tie rule.  A block whose zero-vector SAD is at
+    most ``static`` times its in-frame pixel count keeps the zero vector."""
     def block_sums(err):
         h, w = err.shape
         err = np.pad(err, ((0, (-h) % block), (0, (-w) % block)), mode="constant")
@@ -138,34 +139,80 @@ def reference_estimate_motion(cur, ref, block, search):
             best_cost = np.where(better, cost, best_cost)
             best_dx = np.where(better, dx, best_dx)
             best_dy = np.where(better, dy, best_dy)
-    return best_dx, best_dy
+    still = block_sums(np.abs(cl - rl)) <= static * block_sums(np.ones_like(cl))
+    return np.where(still, 0, best_dx), np.where(still, 0, best_dy)
 
 
 class TestMotion:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(h=st.integers(1, 70), w=st.integers(1, 70),
            block=st.sampled_from([8, 16, 32]), search=st.integers(1, 12),
-           kind=st.sampled_from(["uniform", "flat", "small_int"]),
+           kind=st.sampled_from(["uniform", "flat", "small_int", "patch", "flat_patch"]),
            seed=st.integers(0, 2**32 - 1))
     def test_matches_reference_search(self, h, w, block, search, kind, seed):
         # Flat and small-integer planes make many exact SAD ties, so the tie
         # rule decides most blocks.  The motion constants are patched to
-        # cover other block sizes and search ranges.
+        # cover other block sizes and search ranges.  Every example runs at
+        # a static threshold of 0, where only a zero SAD stops a block (the
+        # full search), and at MOTION_STATIC.  A "patch" frame is its
+        # small-integer reference with a rectangle of at most one block
+        # redrawn, so few blocks remain and each is searched alone.  A "flat_patch" frame is
+        # a flat reference with the rectangle at another level, so those
+        # blocks tie at every candidate.  100 examples keep about 20 for
+        # each of the other kinds.
         rng = np.random.default_rng(seed)
 
         def plane():
             if kind == "uniform":
                 return rng.uniform(0, 255, (h, w))
-            if kind == "flat":
+            if kind in ("flat", "flat_patch"):
                 return np.full((h, w), float(rng.integers(0, 256)))
             return rng.integers(0, 3, (h, w)).astype(np.float64)
 
-        cur = Frame(np.stack([plane(), plane(), plane()]))
         ref = Frame(np.stack([plane(), plane(), plane()]))
-        with patch.multiple(motion, MOTION_BLOCK=block, MOTION_SEARCH=search):
-            flow = estimate_motion(cur, ref)
-        dx, dy = reference_estimate_motion(cur, ref, block, search)
-        assert np.array_equal(flow.dx, dx) and np.array_equal(flow.dy, dy)
+        if kind.endswith("patch"):
+            cur = Frame(ref.rgb.copy())
+            y0, x0 = rng.integers(0, h), rng.integers(0, w)
+            rect = cur.rgb[:, y0 : y0 + rng.integers(1, block + 1),
+                           x0 : x0 + rng.integers(1, block + 1)]
+            rect[...] = (rng.uniform(0, 255, rect.shape) if kind == "patch"
+                         else float(rng.integers(0, 256)))
+        else:
+            cur = Frame(np.stack([plane(), plane(), plane()]))
+        for static in (0.0, motion.MOTION_STATIC):
+            with patch.multiple(motion, MOTION_BLOCK=block, MOTION_SEARCH=search,
+                                MOTION_STATIC=static):
+                flow = estimate_motion(cur, ref)
+            dx, dy = reference_estimate_motion(cur, ref, block, search, static)
+            assert np.array_equal(flow.dx, dx) and np.array_equal(flow.dy, dy), static
+
+    @pytest.mark.parametrize("others", ["still", "moving"])
+    @pytest.mark.parametrize("w", [64, 56], ids=["whole", "edge"])
+    def test_static_boundary(self, w, others):
+        # Block (1, 3) is a faint texture shifted by one pixel, so the search
+        # finds a better vector than zero.  With its zero-vector SAD exactly
+        # tau * n it keeps the zero vector; with tau * n one float below, it
+        # is searched.  n is 256, or 128 for the block cut by the right edge,
+        # so tau * n is exact.  The other blocks are the reference itself
+        # (each remaining block searched alone) or the reference brightened
+        # by 8, well above tau (the frame kernel).
+        rng = np.random.default_rng(7)
+        big = rng.uniform(0, 4, (3, 48, w + 1))
+        ref = Frame(big[..., :w])
+        cur = Frame(big[..., :w] + (8.0 if others == "moving" else 0.0))
+        cur.rgb[:, 16:32, 48:] = big[:, 16:32, 49:]
+        n = 16 * (w - 48)
+        err = np.pad(np.abs(cur.luma() - ref.luma()), ((0, 0), (0, 64 - w)))
+        sad = err.reshape(3, 16, 4, 16).sum(axis=(1, 3))[1, 3]   # the search's own sum
+        assert sad / n * n == sad
+        for tau, want_zero in ((sad / n, True), (np.nextafter(sad, 0) / n, False)):
+            with patch.object(motion, "MOTION_STATIC", tau), \
+                    patch.object(motion, "_sad_grids", wraps=motion._sad_grids) as kernel:
+                flow = estimate_motion(cur, ref)
+            assert kernel.called == (others == "moving")
+            assert (flow.dx[1, 3] == flow.dy[1, 3] == 0) == want_zero, tau
+            dx, dy = reference_estimate_motion(cur, ref, 16, 8, tau)
+            assert np.array_equal(flow.dx, dx) and np.array_equal(flow.dy, dy)
 
     @pytest.mark.parametrize("kind", ["uniform", "flat", "small_int", "moved"])
     @pytest.mark.parametrize("block", [8, 16, 32])
@@ -177,7 +224,9 @@ class TestMotion:
         # a block as one run.  Each block's bound stays below its SAD, to the
         # margin.  A grid the bounds skipped is +inf, and each of its blocks'
         # true SADs must exceed that block's least SAD.  A translated
-        # texture ("moved") skips some.
+        # texture ("moved") skips some.  A frame more than one block wide
+        # can have its blocks searched one at a time; those SADs must equal
+        # numpy's too, partial edge blocks included.
         rng = np.random.default_rng(block)
         search = motion.MOTION_SEARCH
         nd = 2 * search + 1
@@ -214,6 +263,12 @@ class TestMotion:
                 assert np.all(grids[~summed] == np.inf)
                 assert np.all(want[~summed] > want.min(axis=(0, 1))), (h, w)
                 skipped += np.count_nonzero(~summed)
+                if nbx > 1:
+                    with patch.object(motion, "MOTION_BLOCK", block):
+                        for by in range(nby):
+                            for bx in range(nbx):
+                                one = motion._block_sads(cl, padded_ref, by, bx)
+                                assert one.tobytes() == want[..., by, bx].tobytes(), (h, w, by, bx)
         if kind == "moved":
             assert skipped
 

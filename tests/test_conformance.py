@@ -3,9 +3,15 @@
 ``tests/data/conformance_square_q1.svhm`` is an 8-frame 64x64 translating
 square coded at q1 with GOP 4 and both layers, so it holds intra DC rows,
 inter base frames, enhancement frames and flow at both support half-widths.
-Re-encoding must reproduce it byte for byte, and decoding it must give the
-frames whose hash is stored beside it.  A drift in the decoder-side scales or
-in the integer CDFs shows up here on any machine that runs the suite.
+It is a decoder-only test vector: decoding it must give the frames whose hash
+is stored beside it.  A drift in the decoder-side scales or in the integer
+CDFs shows up here on any machine that runs the suite.
+
+The encoder is pinned on its own, by the SHA-256 of its stream for the same
+clip and config and of that stream's decode (the JSON's ``encoder`` entry).
+The two streams differ because the encoder's motion search has chosen other
+vectors since the test vector was written (static blocks take the zero
+vector), and a decoder reads those like any other.
 """
 
 import hashlib
@@ -29,21 +35,29 @@ def frames_sha256(frames) -> str:
     return h.hexdigest()
 
 
+def _decoded_sha256(raw: bytes, layers: str) -> str:
+    frames, report = decode_sequence(ScalableBitstream.deserialize(raw), layers)
+    assert report.error is None and len(frames) == 8
+    return frames_sha256(frames)
+
+
 def test_conformance_stream():
     meta = json.loads((DATA / "conformance_square_q1.json").read_text())
     raw = (DATA / "conformance_square_q1.svhm").read_bytes()
     assert hashlib.sha256(raw).hexdigest() == meta["stream_sha256"]
+    assert _decoded_sha256(raw, meta["decoded_layers"]) == meta["decoded_frames_sha256"]
 
+
+def test_conformance_encoder():
     # The encoder's own block, search and fusion byte (16, 8, 32) are not
-    # options; the byte comparison pins them in the header.
+    # options; the stream hash pins them in the header.
+    meta = json.loads((DATA / "conformance_square_q1.json").read_text())
     config = {k: meta["config"][k] for k in ("quality", "gop", "enhancement")}
     stream, _ = encode_sequence(translating_square(8, 64, seed=0), CodecConfig(**config))
-    assert stream.serialize() == raw
-
-    frames, report = decode_sequence(ScalableBitstream.deserialize(raw),
-                                     meta["decoded_layers"])
-    assert report.error is None and len(frames) == 8
-    assert frames_sha256(frames) == meta["decoded_frames_sha256"]
+    raw = stream.serialize()
+    assert len(raw) == meta["encoder"]["stream_bytes"]
+    assert hashlib.sha256(raw).hexdigest() == meta["encoder"]["stream_sha256"]
+    assert _decoded_sha256(raw, meta["decoded_layers"]) == meta["encoder"]["decoded_frames_sha256"]
 
 
 # textured_scene(5, 50, 66, seed=3), GOP 2, both layers: neither side is a
@@ -98,8 +112,8 @@ def test_benchmark_size_clip_pinned(q, stream_sha256, frames_sha):
 # base-only decode of the stream with its enhancement stripped.  A change to
 # the enhancement layer (its context, step or scales) leaves these unchanged.
 BASE_LAYER_PINS = [
-    ("conformance", 1, "7a9d0ae9688c388dfb7aa2caa642cb3ba2f5e37b41608401a937b9cd42b3c15c",
-        "d897a796605941e021af67764f1576af4b87de3eb8e6a3e9cc06604176f1063a"),
+    ("conformance", 1, "41d86f462e5883638ed5d3107146dfa4c6605460a13cd5903f6f8149297d2383",
+        "0593c98df9927734366d82ecb11b88448e249aac9c8008ea774a33099d21596d"),
     ("textured", 0, "b2e00bb583bd256cea2d22a204ae6db297e968f8903cf5c1a829e7962712806d",
         "9f7e103b3e011759158d7e663b922d1f84895ec4ec785aeb7d6ae1c5e282de5c"),
     ("textured", 3, "dae72633a71b87f5184ea405f53b352770633f9a60c607c673542877efddcc8a",
@@ -119,3 +133,29 @@ def test_base_layer_pinned(clip, q, base_sha256, frames_sha):
     decoded, report = decode_sequence(stream.strip_enhancement(), "base")
     assert report.error is None and len(decoded) == len(frames)
     assert frames_sha256(decoded) == frames_sha
+
+
+# translating_square(10, 144, seed=1), base layer only, GOP 32: the benchmark's
+# square_base clip, a static camera whose noisy background takes the zero
+# vector unsearched.  Per q: stream SHA-256 and base-decode SHA-256.
+SQUARE_BASE_PINS = [
+    pytest.param(0, "60312912ee95b1bbf2d6c37cd5b4b11cabe452c11efd511aedb9d9ca755a4092",
+                 "0d5be75a8e578645799a9a956ca038a208660f18defbce3c0e7a1fd9738d477a", id="q0"),
+    pytest.param(1, "c3dc8b436f64435eefdd2b15d4c8b0b5bd530196089b7655d3b2176977fc4beb",
+                 "339461b5d42ec64a1850929a24cadce7acb59abe77e49992138894a010880507", id="q1"),
+    pytest.param(2, "719bccf12805827679a5a06f2a767c58af3d414b14e99782679e07e4eb24e0ff",
+                 "8de1e084b52d5b2bb826eded9a63013271585d3aac2c2363b3afbdbbcf1acb86", id="q2"),
+    pytest.param(3, "785201f3fc29a5fe75986af4025e52d011449f6a8c3242b0bf8bae7c7afaf37f",
+                 "2cd2fa402e30ca8a5a8b1d00d63335f68c4544b0ce020ff493189f5841cb7a1e", id="q3"),
+]
+
+
+@pytest.mark.parametrize("q,stream_sha256,frames_sha", SQUARE_BASE_PINS)
+def test_square_base_clip_pinned(q, stream_sha256, frames_sha):
+    clip = translating_square(10, 144, seed=1)
+    stream, _ = encode_sequence(clip, CodecConfig(quality=q, gop=32, enhancement=False))
+    raw = stream.serialize()
+    assert hashlib.sha256(raw).hexdigest() == stream_sha256
+    frames, report = decode_sequence(ScalableBitstream.deserialize(raw), "base")
+    assert report.error is None and len(frames) == len(clip)
+    assert frames_sha256(frames) == frames_sha
