@@ -242,14 +242,116 @@ class TestBlahutArimoto:
         # The benchmark corpus's slowest solve, the residual of its first
         # 5 x 3 joint at slope 10, spent 11,327 map evaluations decaying
         # letters that leave the support before the active set pruned them.
-        rng = np.random.default_rng(2024)
-        j = rd.random_joint(rng)
-        while (j.x_alphabet.size, j.y_alphabet.size) != (5, 3):
-            j = rd.random_joint(rng)
+        j = first_joint_of_shape(np.random.default_rng(2024), (5, 3))
         d = rd.DistortionMatrix.squared_error(rd.residual_alphabet(j))
         pt = rd.residual_rd(j, d, 10.0)
         assert pt.gap < rd.DEFAULT_TOL
-        assert pt.iterations <= 6_000
+        assert pt.iterations <= 100
+
+    def test_matches_plain_blahut_arimoto_on_the_slowest_benchmark_solve(self):
+        # The plain map needs 121,959 steps to certify 1e-10 here.
+        j = first_joint_of_shape(np.random.default_rng(2024), (5, 3))
+        d = rd.DistortionMatrix.squared_error(rd.residual_alphabet(j))
+        _, pz = rd.residual_distribution(j)
+        pt = rd.blahut_arimoto(pz, d, 10.0)
+        assert abs(rd.lagrangian_cost(pt) - plain_blahut_arimoto(pz, d.values, 10.0)) \
+            <= 2 * rd.DEFAULT_TOL
+
+    def test_letter_creeping_back_certifies_quickly(self):
+        # Joint 46 of criterion 1's stream at seed 7, slope 4.64: one context
+        # solve took 45,047 map evaluations while a letter with small
+        # optimal mass was pruned, revived at the floor and crept back; the
+        # plain map needs 944,127 steps.
+        rng = np.random.default_rng(7)
+        for _ in range(47):
+            j = rd.random_joint(rng)
+        d = rd.DistortionMatrix.squared_error(rd.residual_alphabet(j))
+        slope = float(np.geomspace(0.01, 10.0, 10)[8])
+        z_alpha, idx = rd._residual_index(j)
+        p_y = j.marginal_y()
+        contexts = [np.bincount(idx[:, k], j.pmf[:, k] / p_y[k], z_alpha.size)
+                    for k in range(p_y.size)]
+        for p in contexts + [rd.residual_distribution(j)[1]]:
+            assert rd.blahut_arimoto(p, d, slope, max_iters=200).gap < rd.DEFAULT_TOL
+
+    def test_budget_is_never_exceeded(self):
+        # Every budget short of the 24 evaluations this solve needs ends in
+        # ConvergenceError, most of them inside the Newton finish.
+        j = first_joint_of_shape(np.random.default_rng(2024), (5, 3))
+        d = rd.DistortionMatrix.squared_error(rd.residual_alphabet(j))
+        _, pz = rd.residual_distribution(j)
+        needed = rd.blahut_arimoto(pz, d, 10.0).iterations
+        assert needed > 15
+        for budget in range(1, needed):
+            with pytest.raises(rd.ConvergenceError) as exc:
+                rd.blahut_arimoto(pz, d, 10.0, max_iters=budget)
+            assert exc.value.best.iterations <= budget
+        assert rd.blahut_arimoto(pz, d, 10.0, max_iters=needed).iterations == needed
+
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_empty_budget_refused(self, max_iters):
+        d = rd.DistortionMatrix.hamming([0.0, 1.0])
+        with pytest.raises(ValueError, match="max_iters"):
+            rd.blahut_arimoto([0.5, 0.5], d, 1.0, max_iters=max_iters)
+
+    @pytest.mark.parametrize("slope", [1e-3, 4.64, 1e3])
+    def test_duplicate_letters_certify(self, slope):
+        # Two identical reproduction letters make the Newton system singular.
+        v = rd.DistortionMatrix.squared_error([-2.0, 0.0, 1.0, 3.0]).values
+        d = rd.DistortionMatrix(np.hstack([v, v[:, [1]]]))
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            pt = rd.blahut_arimoto([0.1, 0.4, 0.3, 0.2], d, slope)
+        assert pt.gap < rd.DEFAULT_TOL
+        single = rd.blahut_arimoto([0.1, 0.4, 0.3, 0.2], rd.DistortionMatrix(v), slope)
+        assert rd.lagrangian_cost(pt) == pytest.approx(rd.lagrangian_cost(single),
+                                                       abs=2 * rd.DEFAULT_TOL)
+
+    @pytest.mark.parametrize("p, values", [([1.0], [[0.0]]),
+                                           ([0.2, 0.3, 0.5], [[1.0], [0.0], [4.0]])])
+    def test_one_letter_alphabet_certifies(self, p, values):
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            pt = rd.blahut_arimoto(p, rd.DistortionMatrix(values), 1.0)
+        assert pt.gap < rd.DEFAULT_TOL
+        assert pt.rate == 0.0
+
+    @pytest.mark.parametrize("slope", [1e-3, 1e3])
+    def test_extreme_slopes_certify(self, slope):
+        rng = np.random.default_rng(2024)
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            for _ in range(10):
+                j = rd.random_joint(rng)
+                d = rd.DistortionMatrix.squared_error(rd.residual_alphabet(j))
+                for cmp in rd.verify_rd_inequality(j, d, [slope]):
+                    assert cmp.holds
+                    assert cmp.r_c.gap < rd.DEFAULT_TOL and cmp.r_r.gap < rd.DEFAULT_TOL
+
+
+def first_joint_of_shape(rng, shape):
+    j = rd.random_joint(rng)
+    while (j.x_alphabet.size, j.y_alphabet.size) != shape:
+        j = rd.random_joint(rng)
+    return j
+
+
+def plain_blahut_arimoto(p, dvals, slope, gap=1e-10):
+    """Lagrangian D + slope * R(bits) from Blahut's multiplicative map alone,
+    run until its own certified gap is below ``gap``; a reference sharing no
+    code with the solver."""
+    p = np.asarray(p)
+    lam = math.log(2.0) / slope
+    w = np.exp(-lam * dvals)
+    q = np.full(dvals.shape[1], 1.0 / dvals.shape[1])
+    while True:
+        t = (p / (w @ q)) @ w
+        if math.log(t.max()) / lam < gap:
+            break
+        q = q * t
+    channel = w * q
+    channel /= channel.sum(axis=1, keepdims=True)
+    out = p @ channel
+    ratio = np.divide(channel, out, out=np.ones_like(channel), where=channel > 0)
+    rate = float(p @ np.sum(channel * np.log2(ratio), axis=1))
+    return float(p @ np.sum(channel * dvals, axis=1)) + slope * rate
 
 
 # ---------------------------------------------------------------------------
