@@ -288,8 +288,9 @@ def blahut_arimoto(
     active = p > 0
     pa = p[active]
     rho = d.values[active, :]
-    solve = _Solve(pa, np.exp(np.maximum(-_LN2 / slope * rho, -745.0)),
-                   _LN2 / slope, tol, max_iters)
+    lam = _LN2 / slope  # nats-per-distortion multiplier for this slope
+    w = np.exp(np.maximum(-lam * rho, -745.0))  # Boltzmann kernel, underflow-safe
+    solve = _Solve(pa, w, lam, tol, max_iters)
     n_rec = rho.shape[1]
     pt = solve.at(np.full(n_rec, 1.0 / n_rec))
     newton_at = _OPENING
@@ -318,7 +319,7 @@ def blahut_arimoto(
         return best
     raise ConvergenceError(
         f"Blahut-Arimoto did not certify a gap below {tol:g} within "
-        f"{max_iters} map evaluations (gap {pt.gap:.3g})", best
+        f"{max_iters} evaluations (gap {pt.gap:.3g})", best
     )
 
 
@@ -336,8 +337,8 @@ class _Solve:
     evaluated."""
 
     pa: np.ndarray
-    w: np.ndarray    # Boltzmann kernel exp(-lam * d), underflow-safe
-    lam: float       # nats-per-distortion multiplier for the slope
+    w: np.ndarray
+    lam: float
     tol: float
     max_iters: int
     evals: int = 0

@@ -199,7 +199,7 @@ class TestBlahutArimoto:
     def test_lagrangian_within_tol_of_tight_solve(self, monkeypatch):
         # The stop is Blahut's certified gap alone, so every residual and
         # per-context solve of a criterion-1 joint lands within tol of the
-        # optimum, however the active set pruned on the way.  A stop on
+        # optimum, however the support changed on the way.  A stop on
         # successive objective differences left these up to 5.2e-7 above it.
         solves = []
         solve = rd.blahut_arimoto
@@ -211,7 +211,7 @@ class TestBlahutArimoto:
 
         monkeypatch.setattr(rd, "blahut_arimoto", recording)
         rng = np.random.default_rng(2024)
-        # 1.0 and 2.15 are where the active set prunes and revives letters
+        # 1.0 and 2.15 are where letters leave and rejoin the support
         slopes = [float(s) for s in np.geomspace(0.01, 10.0, 10)[-4:]]  # 1 .. 10
         for _ in range(4):
             j = rd.random_joint(rng)
@@ -241,7 +241,7 @@ class TestBlahutArimoto:
     def test_dying_letters_do_not_stall_the_slowest_benchmark_solve(self):
         # The benchmark corpus's slowest solve, the residual of its first
         # 5 x 3 joint at slope 10, spent 11,327 map evaluations decaying
-        # letters that leave the support before the active set pruned them.
+        # letters that leave the support.
         j = first_joint_of_shape(np.random.default_rng(2024), (5, 3))
         d = rd.DistortionMatrix.squared_error(rd.residual_alphabet(j))
         pt = rd.residual_rd(j, d, 10.0)
