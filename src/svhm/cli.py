@@ -199,7 +199,8 @@ def cmd_breakeven(args) -> int:
 def cmd_rdlab(args) -> int:
     """Randomized sweep verifying that conditional coding never needs more
     rate than residual coding, at matched Lagrangian slope; ``points`` holds
-    each (joint, slope) solve pair's R/D points and margin, in sweep order."""
+    each (joint, slope) solve pair's R/D points and margin, in sweep order;
+    ``per_slope`` counts map evaluations per RD point, not per solve."""
     if args.slopes < 1:
         raise CommandError(f"--slopes must be at least 1, got {args.slopes}")
     if args.joints < 0:

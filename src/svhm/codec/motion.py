@@ -93,10 +93,12 @@ def estimate_motion(cur: Frame, ref: Frame) -> FlowField:
       4x4 sub-blocks wholly inside the frame, of |sum of cur - sum of ref|
       (the triangle inequality).  The reference sums are box sums of the
       edge-padded reference, made once per call.
-    - **Skip.** A candidate is summed only if some block's bound is at most
+    - **Skip.** A candidate is summed unless every block's bound exceeds
       that block's best from the earlier rings plus a margin ``tol``.  A
       skipped candidate's grid is +inf.  Its SAD exceeds every block's best,
-      so it wins no block, and ``argmin`` picks the same winner.
+      so it wins no block, and ``argmin`` picks the same winner.  A NaN never
+      rules a candidate out, and a frame under 4 px on a side, with no whole
+      sub-block, has all-zero bounds.
     - **Margin.** Bound and SAD are float sums of at most n = block**2 terms,
       each at most M = max|cur| + max|ref| in size.  So each lies within
       n * n * M * 2**-53 (times 1 + 1e-9) of its exact value (Higham,
@@ -106,12 +108,6 @@ def estimate_motion(cur: Frame, ref: Frame) -> FlowField:
       ``tol`` = 1e-9 * n * M covers that for any block under 4 million
       pixels.  At 16x16 on 8-bit luma ``tol`` is at most 1.3e-4, far below
       the SAD gaps the bound has to show.
-    - **Bail-out.** A candidate is skipped only if every block rules it out.
-      So the block with the least zero-vector SAD is checked first.  If none
-      of its bounds exceeds its least SAD plus ``tol``, it rules nothing out,
-      and every candidate is summed in ring order without bounds.  A flat or
-      noisy background, whose candidates all score about the same, takes
-      this path.
     """
     if (cur.height, cur.width) != (ref.height, ref.width):
         raise ValueError("frames differ in size")
@@ -193,20 +189,15 @@ def _sad_grids(cl: np.ndarray, rl: np.ndarray) -> np.ndarray:
     zero = (search, search)
     run(*zero)
     tie = _tie_order(search)
-    # estimate_motion's margin; a NaN or inf pixel makes every test with it false
+    # estimate_motion's margin; a NaN or inf pixel makes it NaN or inf, so nothing is skipped
     tol = 1e-9 * block * block * (np.abs(cl).max() + np.abs(rl).max())
-    if not _can_rule_out(cl, padded_ref, sads[zero], block, tol):
-        for dy, dx in tie[1:].tolist():   # nothing can be skipped
-            run(dy, dx)
-        return sads
-
     # Visit the rings in tie-break order and skip each candidate that the
     # sub-block bounds rule out for every block (see estimate_motion).
     bounds = _bounds(cl, padded_ref, block)
     best = sads[zero].copy()
     rings = np.split(tie, np.searchsorted(np.abs(tie - search).sum(axis=1), range(1, nd)))
     for dys, dxs in (ring.T for ring in rings[1:]):
-        needed = (bounds[dys, dxs] <= best + tol).any(axis=(1, 2))
+        needed = ~(bounds[dys, dxs] > best + tol).all(axis=(1, 2))
         for dy, dx in zip(dys[needed], dxs[needed]):
             run(dy, dx)
         np.minimum(best, sads[dys, dxs].min(axis=0), out=best)
@@ -246,10 +237,12 @@ def _bounds(cl: np.ndarray, padded_ref: np.ndarray, block: int) -> np.ndarray:
     sum over its whole sub-blocks of |sum of cur - sum of ref|."""
     nby, nbx = -(-cl.shape[0] // block), -(-cl.shape[1] // block)
     nd = 2 * MOTION_SEARCH + 1
+    bounds = np.zeros((nd, nd, nby, nbx))
+    if min(cl.shape) < _SUB:
+        return bounds   # no whole sub-block
     k = block // _SUB
     cur_sums, ref_sums = _sub_sums(cl, padded_ref, nd)
     fy, fx = cur_sums.shape
-    bounds = np.empty((nd, nd, nby, nbx))
     diff = np.zeros((nd, nby * k, nbx * k))   # sub-blocks not wholly inside stay 0
     across = np.empty((nd, nby * k, nbx))
     for dy in range(nd):   # one row of candidates at a time keeps the buffers small
@@ -262,31 +255,6 @@ def _bounds(cl: np.ndarray, padded_ref: np.ndarray, block: int) -> np.ndarray:
         for i in range(2, k):
             bounds[dy] += across[:, i::k]
     return bounds
-
-
-def _can_rule_out(cl: np.ndarray, padded_ref: np.ndarray, zero_sads: np.ndarray,
-                  block: int, tol: float) -> bool:
-    """The bail-out: whether the block with the least zero-vector SAD has a
-    bound above its least SAD plus the margin anywhere.  If not, it rules
-    out no candidate, and so no candidate is skipped.  Its SADs here are
-    numpy's sums: they only choose the path, and both paths are exact."""
-    nd = 2 * MOTION_SEARCH + 1
-    by, bx = np.unravel_index(np.argmin(zero_sads), zero_sads.shape)
-    y0, x0 = by * block, bx * block
-    cur = cl[y0 : y0 + block, x0 : x0 + block]
-    bh, bw = cur.shape
-    if min(bh, bw) < _SUB:
-        return False   # without a whole sub-block its bound is 0
-    window = padded_ref[y0 : y0 + bh + nd - 1, x0 : x0 + bw + nd - 1]
-    cur_sums, ref_sums = _sub_sums(cur, window, nd)
-    bounds = np.abs(ref_sums - cur_sums).sum(axis=(2, 3))
-    top = bounds.max()
-    if zero_sads[by, bx] + tol < top:
-        return True   # its least SAD is at most its zero-vector SAD
-    # only a candidate whose bound is below the top can have a SAD below it
-    below = sliding_window_view(window, (bh, bw))[bounds < top]
-    sads = np.abs(below - cur).sum(axis=(1, 2))
-    return bool((sads + tol < top).any())
 
 
 def _sub_sums(cur: np.ndarray, ref: np.ndarray, nd: int):

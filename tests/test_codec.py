@@ -251,10 +251,12 @@ class TestMotion:
                         err = np.abs(cl - padded_ref[dy : dy + h, dx : dx + w])
                         err = np.pad(err, ((0, nby * block - h), (0, nbx * block - w)))
                         want[dy, dx] = err.reshape(nby, block, nbx, block).sum(axis=(1, 3))
-                if min(h, w) >= motion._SUB:   # the bound is below every SAD, to the margin
-                    bounds = motion._bounds(cl, padded_ref, block)
-                    tol = 1e-9 * block**2 * (np.abs(cl).max() + np.abs(rl).max())
-                    assert np.all(bounds <= want + tol), (h, w)
+                # the bound is below every SAD, to the margin; without a whole
+                # sub-block it is 0
+                bounds = motion._bounds(cl, padded_ref, block)
+                tol = 1e-9 * block**2 * (np.abs(cl).max() + np.abs(rl).max())
+                assert np.all(bounds <= want + tol), (h, w)
+                assert min(h, w) >= motion._SUB or not bounds.any(), (h, w)
                 with patch.object(motion, "MOTION_BLOCK", block):
                     grids = motion._sad_grids(cl, rl)
                 summed = np.isfinite(grids).all(axis=(2, 3))
@@ -273,25 +275,50 @@ class TestMotion:
             assert skipped
 
     @pytest.mark.parametrize("reference", ["flat", "translated"])
-    def test_bail_out(self, reference):
+    def test_pruning_matches_reference_search(self, reference):
         # Every frame size takes the same search, so a 176x144 frame and a
         # 64x64 crop behave alike.  Against a flat reference every candidate
-        # of a block has the same bound and SAD, so the bail-out fires: no
-        # block-wide bounds and no skipped candidate.  A translated texture
-        # takes the pruned path and skips candidates.
+        # of a block has the same bound and SAD, so no candidate is skipped.
+        # A translated texture skips candidates.
         rng = np.random.default_rng(11)
         big = rng.uniform(0, 255, (3, 160, 192))
         for h, w in ((144, 176), (64, 64)):
             cur = Frame(big[:, 4 : h + 4, 9 : w + 9])
             ref = Frame(np.full((3, h, w), 90.0) if reference == "flat"
                         else big[:, 6 : h + 6, 6 : w + 6])
-            with patch.object(motion, "_bounds", wraps=motion._bounds) as bounds:
-                grids = motion._sad_grids(cur.luma(), ref.luma())
+            grids = motion._sad_grids(cur.luma(), ref.luma())
             skipped = np.isinf(grids).all(axis=(2, 3))
-            assert bounds.called == skipped.any() == (reference == "translated"), (h, w)
+            assert skipped.any() == (reference == "translated"), (h, w)
             flow = estimate_motion(cur, ref)
             dx, dy = reference_estimate_motion(cur, ref, 16, 8)
             assert np.array_equal(flow.dx, dx) and np.array_equal(flow.dy, dy), (h, w)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("path", ["frame", "block"])
+    def test_non_finite_pixel_matches_reference_search(self, path, value):
+        # One pixel of the current frame is NaN or +-inf.  Its block's SAD is
+        # then NaN or inf at every candidate, so it keeps the zero vector, and
+        # no other block may lose a candidate to it: a NaN must never rule one
+        # out.  A translated texture sends every block to the frame kernel;
+        # the reference itself with one block redrawn leaves two blocks, each
+        # searched alone.
+        rng = np.random.default_rng(13)
+        big = rng.uniform(0, 255, (3, 72, 72))
+        ref = Frame(big[:, 4:68, 4:68])
+        if path == "frame":
+            cur = Frame(big[:, 2:66, 7:71].copy())
+        else:
+            cur = Frame(ref.rgb.copy())
+            cur.rgb[:, 16:32, 32:48] = big[:, 18:34, 31:47]
+        cur.rgb[:, 40, 21] = value
+        with patch.object(motion, "_sad_grids", wraps=motion._sad_grids) as kernel:
+            flow = estimate_motion(cur, ref)
+        assert kernel.called == (path == "frame")
+        dx, dy = reference_estimate_motion(cur, ref, 16, 8)
+        assert np.array_equal(flow.dx, dx) and np.array_equal(flow.dy, dy)
+        assert flow.dx[2, 1] == flow.dy[2, 1] == 0
+        if path == "block":
+            assert (flow.dx[1, 2], flow.dy[1, 2]) == (-5, -2)
 
     @pytest.mark.parametrize("clip", [
         translating_square(3, 64, seed=3), textured_scene(3, 48, 56, seed=1),
